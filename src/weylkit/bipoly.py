@@ -10,9 +10,11 @@ decomposition f = lam * h^m used by the centralizer machinery.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import index, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
@@ -69,18 +71,30 @@ class _SparseTerms:
         canon: dict[Exponent, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else (terms or ())
         for (i, j), raw in items:
-            if i < 0 or j < 0:
+            try:
+                e = (index(i), index(j))
+            except TypeError:
+                raise ValueError(f"non-integer exponent in term ({i!r}, {j!r})") from None
+            if e[0] < 0 or e[1] < 0:
                 raise ValueError(f"negative exponent in term ({i}, {j})")
             c = _fr(raw)
             if c:
-                c0 = canon.get((i, j))
+                c0 = canon.get(e)
                 c = c if c0 is None else c0 + c
                 if c:
-                    canon[(int(i), int(j))] = c
+                    canon[e] = c
                 else:
-                    canon.pop((i, j), None)
+                    canon.pop(e, None)
         self._terms = canon
         self._hash: Optional[int] = None
+
+    @classmethod
+    def _from_canonical(cls, terms: dict[Exponent, Fraction]):
+        """Wrap a term map that is already canonical, without re-checking it."""
+        obj = cls.__new__(cls)
+        obj._terms = terms
+        obj._hash = None
+        return obj
 
     # -- queries ---------------------------------------------------------
 
@@ -196,24 +210,200 @@ class _SparseTerms:
         return result
 
 
+# -- the exact product kernel --------------------------------------------
+#
+# Three bilinear products share one integer kernel.  Each operand's
+# denominators are cleared once (f = F / D_f with F integral), the product
+# runs on Python ints, and each output coefficient becomes one Fraction
+# n / (D_f * D_g).  Exponents (i, j) are keyed as i * w + j, with w larger
+# than any output j, so exponents add when keys add.
+#
+# Dense operands are multiplied by Kronecker substitution: an integer
+# polynomial becomes one big int with a fixed-width slot per key, and
+# CPython's Karatsuba multiplies those.  Sparse or tiny operands, whose
+# term pairs len(f) * len(g) are at most twice the packed slot count, go
+# through an integer schoolbook loop instead, because packing and unpacking
+# every slot would cost more than the pairs themselves.
+
+_TIMES, _WEYL, _BRACKET = "times", "weyl", "bracket"
+_PAIRS_PER_SLOT = 2  # schoolbook while len(f) * len(g) <= this * slot count
+
+
+def _cleared(terms: Mapping[Exponent, Fraction], w: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Common denominator D of a term map, and its terms (i * w + j, i, j, D * c)."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    return den, [(i * w + j, i, j, c.numerator * (den // c.denominator))
+                 for (i, j), c in terms.items()]
+
+
+# struct codes of little-endian unsigned slots of 1, 2, 4 and 8 bytes: such
+# slots are converted in one call, wider ones one at a time.
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per slot for integers of absolute value at most bound, plus a sign bit."""
+    width = (bound.bit_length() + 8) // 8
+    return next((w for w in _STRUCT_CODES if w >= width), width)
+
+
+def _bias(nslots: int, width: int) -> int:
+    """Half a slot in each of nslots slots: 2^(8 width - 1) * sum_k 2^(8 width k)."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * nslots, "little")
+
+
+def _pack(terms: list[tuple[int, int]], width: int) -> int:
+    """Kronecker image sum n * 2^(8 width key) of (key, n) integer terms.
+
+    Every slot is written biased by half a slot, so it is nonnegative; the
+    bias is subtracted from the packed int as a whole.
+    """
+    half = 1 << (8 * width - 1)
+    slots = [half] * (max(k for k, _ in terms) + 1)
+    for k, n in terms:
+        slots[k] = half + n
+    code = _STRUCT_CODES.get(width)
+    if code is None:
+        raw = b"".join([v.to_bytes(width, "little") for v in slots])
+    else:
+        raw = struct.pack(f"<{len(slots)}{code}", *slots)
+    return int.from_bytes(raw, "little") - _bias(len(slots), width)
+
+
+def _unpack(x: int, nslots: int, width: int) -> dict[int, int]:
+    """Nonzero slots {key: n} of a Kronecker image whose slots hold |n| < 2^(8 width - 1)."""
+    half = 1 << (8 * width - 1)
+    raw = (x + _bias(nslots, width)).to_bytes(nslots * width, "little")
+    code = _STRUCT_CODES.get(width)
+    if code is None:
+        slots = [int.from_bytes(raw[at:at + width], "little") for at in range(0, len(raw), width)]
+    else:
+        slots = struct.unpack(f"<{nslots}{code}", raw)
+    return {k: v - half for k, v in enumerate(slots) if v != half}
+
+
+def _kronecker(factors: list[tuple[int, list, list]], nslots: int) -> dict[int, int]:
+    """Sum of sign * F * G over (sign, F, G) integer polynomials, by packing.
+
+    The slot width bounds every output coefficient plus a sign bit.  A term
+    of F meets at most one term of G in any slot, so a slot of F * G is at
+    most min(max|F| * sum|G|, sum|F| * max|G|); the bound adds these over
+    the factors.  The packed products are summed into one accumulator,
+    which is unpacked once.
+    """
+    bound = 0
+    for _, f, g in factors:
+        abs_f, abs_g = [abs(n) for _, n in f], [abs(n) for _, n in g]
+        bound += min(max(abs_f) * sum(abs_g), sum(abs_f) * max(abs_g))
+    width = _slot_width(bound)
+    acc = 0
+    for sign, f, g in factors:
+        if sign > 0:
+            acc += _pack(f, width) * _pack(g, width)
+        else:
+            acc -= _pack(f, width) * _pack(g, width)
+    return _unpack(acc, nslots, width)
+
+
+def _product(f: Mapping[Exponent, Fraction], g: Mapping[Exponent, Fraction],
+             rule: str) -> dict[Exponent, Fraction]:
+    """Exact bilinear product of two canonical term maps.
+
+    rule _TIMES is the commutative product in Q[X, Y]; _WEYL the
+    normal-ordered product, where p^i q^j is keyed as (i, j) and
+
+        f * g = sum_t (-1)^t (d_q^t f / t!) (d_p^t g);
+
+    _BRACKET the Poisson bracket f_X g_Y - f_Y g_X.  The result is a
+    canonical term map.
+    """
+    if not f or not g:
+        return {}
+    w = max(map(itemgetter(1), f)) + max(map(itemgetter(1), g)) + 1
+    nslots = (max(f)[0] + max(g)[0] + 1) * w
+    den_f, a = _cleared(f, w)
+    den_g, b = _cleared(g, w)
+    if len(a) * len(b) <= _PAIRS_PER_SLOT * nslots:
+        acc = _schoolbook(a, b, w, rule)
+    else:
+        acc = _kronecker(_factors(a, b, w, rule), nslots)
+    den = den_f * den_g
+    return {divmod(k, w): Fraction(n, den) for k, n in acc.items() if n}
+
+
+def _schoolbook(a: list, b: list, w: int, rule: str) -> dict[int, int]:
+    """Integer term-pair loop over keyed terms (key, i, j, n)."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    if rule == _TIMES:
+        for ka, _, _, x in a:
+            for kb, _, _, y in b:
+                k = ka + kb
+                acc[k] = get(k, 0) + x * y
+    elif rule == _BRACKET:
+        # {X^i Y^j, X^k Y^l} = (i l - j k) X^(i+k-1) Y^(j+l-1)
+        shift = w + 1
+        for ka, i, j, x in a:
+            for kb, i2, j2, y in b:
+                s = i * j2 - j * i2
+                if s:
+                    k = ka + kb - shift
+                    acc[k] = get(k, 0) + s * x * y
+    else:
+        # p^s1 q^i1 * p^s2 q^i2 = sum_t (-1)^t t! C(i1, t) C(s2, t) p^(s1+s2-t) q^(i1+i2-t)
+        step = w + 1
+        for ka, _, i1, x in a:
+            for kb, s2, _, y in b:
+                k = ka + kb
+                c = x * y
+                acc[k] = get(k, 0) + c
+                for t in range(1, min(i1, s2) + 1):
+                    c = -c * (i1 - t + 1) * (s2 - t + 1) // t
+                    k -= step
+                    acc[k] = get(k, 0) + c
+    return acc
+
+
+def _factors(a: list, b: list, w: int, rule: str) -> list[tuple[int, list, list]]:
+    """The commutative products (sign, F, G) whose sum is the product under rule."""
+    if rule == _TIMES:
+        return [(1, [(k, n) for k, _, _, n in a], [(k, n) for k, _, _, n in b])]
+    if rule == _BRACKET:
+        f_x = [(k - w, i * n) for k, i, _, n in a if i]
+        f_y = [(k - 1, j * n) for k, _, j, n in a if j]
+        g_x = [(k - w, i * n) for k, i, _, n in b if i]
+        g_y = [(k - 1, j * n) for k, _, j, n in b if j]
+        return [(s, f, g) for s, f, g in ((1, f_x, g_y), (-1, f_y, g_x)) if f and g]
+    # Weyl: the t-th factor pairs d_q^t f / t! with d_p^t g; each entry
+    # (key, exponent left to differentiate, coefficient) is derived from the last.
+    out = []
+    f = [(k, j, n) for k, _, j, n in a]
+    g = [(k, i, n) for k, i, _, n in b]
+    t = 0
+    while f and g:
+        out.append((-1 if t & 1 else 1, [(k, n) for k, _, n in f], [(k, n) for k, _, n in g]))
+        t += 1
+        f = [(k - 1, e - 1, n * e // t) for k, e, n in f if e]
+        g = [(k - w, e - 1, n * e) for k, e, n in g if e]
+    return out
+
+
 class BiPoly(_SparseTerms):
     """Element of Q[X, Y] with commutative multiplication."""
 
     def __mul__(self, other):
+        """Exact commutative product.
+
+        Both operands' denominators are cleared once and the product runs
+        in Python ints: Kronecker packing when the term pairs are more than
+        twice the packed slot count, an integer schoolbook loop otherwise.
+        Each output coefficient is built as a single Fraction.
+        """
         if isinstance(other, (int, Fraction)):
             return self._scaled(_fr(other))
         if not isinstance(other, BiPoly):
             return NotImplemented
-        out: dict[Exponent, Fraction] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                e = (i1 + i2, j1 + j2)
-                c = out.get(e, Fraction(0)) + c1 * c2
-                if c:
-                    out[e] = c
-                else:
-                    out.pop(e, None)
-        return BiPoly(out)
+        return BiPoly._from_canonical(_product(self._terms, other._terms, _TIMES))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -2,11 +2,11 @@
 
 The bracket is defined on monomials by
 {X^i Y^j, X^k Y^l} = (i*l - j*k) X^(i+k-1) Y^(j+l-1) and extended
-bilinearly; a second, independent route through partial derivatives is
-kept for cross-checking.  On top of the bracket sit the facts used by the
-generation criteria: a vanishing bracket between nonconstant homogeneous
-elements forces an exact power relation, and commuting elements share a
-common base whose powers explain both.
+bilinearly; poisson_bracket_via_jacobian computes it through partial
+derivatives and BiPoly products instead.  On top of the bracket sit the
+facts used by the generation criteria: a vanishing bracket between
+nonconstant homogeneous elements forces an exact power relation, and
+commuting elements share a common base whose powers explain both.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from .bipoly import (
+    _BRACKET,
     BiPoly,
     Direction,
     DirectionLike,
+    _product,
     as_direction,
     is_homogeneous,
     mth_root,
@@ -32,20 +34,15 @@ from .geometry import Point, cone_of
 
 
 def poisson_bracket(f: BiPoly, g: BiPoly) -> BiPoly:
-    out = BiPoly()
-    acc: dict[tuple[int, int], Fraction] = {}
-    for (i, j), a in f.items():
-        for (k, l), b in g.items():
-            s = i * l - j * k
-            if not s:
-                continue
-            e = (i + k - 1, j + l - 1)
-            c = acc.get(e, Fraction(0)) + s * a * b
-            if c:
-                acc[e] = c
-            else:
-                acc.pop(e, None)
-    return BiPoly(acc) if acc else out
+    """Exact Poisson bracket {f, g} = f_X g_Y - f_Y g_X.
+
+    Runs on the integer product kernel in bipoly: both operands'
+    denominators are cleared once.  Sparse operands (term pairs at most
+    twice the packed slot count) use the monomial rule (i l - j k) in
+    integers; dense ones pack f_X, g_Y, f_Y, g_X and form
+    f_X g_Y - f_Y g_X in one Kronecker accumulator.
+    """
+    return BiPoly._from_canonical(_product(f._terms, g._terms, _BRACKET))
 
 
 def poisson_bracket_via_jacobian(f: BiPoly, g: BiPoly) -> BiPoly:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence, Union
 
 from .bipoly import BiPoly
 from .errors import InvariantViolation, NotAWeylPairError, ParseError
-from .weyl import WeylElement
+from .weyl import WeylElement, is_weyl_pair
 
 
 def _fractions(values: Iterable[Union[int, Fraction, str]]) -> tuple[Fraction, ...]:
@@ -169,14 +169,14 @@ def apply_poisson_aut(word: Sequence[WordToken], f: BiPoly) -> BiPoly:
 def apply_to_pair(word: Sequence[WordToken],
                   z: WeylElement, w: WeylElement) -> tuple[WeylElement, WeylElement]:
     """Act on a Weyl pair; the pair property is required and re-asserted."""
-    if z * w - w * z != WeylElement.one():
+    if not is_weyl_pair(z, w):
         raise NotAWeylPairError("input pair does not have commutator 1")
     for gen in word:
         if isinstance(gen, PairSwap):
             z, w = w, -z
         else:
             z, w = _apply_gen_weyl(gen, z), _apply_gen_weyl(gen, w)
-    if z * w - w * z != WeylElement.one():
+    if not is_weyl_pair(z, w):
         raise InvariantViolation("generator word failed to preserve the commutator")
     return z, w
 

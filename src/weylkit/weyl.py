@@ -1,16 +1,25 @@
 """Normal-ordered arithmetic in the rational Weyl algebra.
 
 Elements are stored on the basis p^i q^j with exact rational
-coefficients, where the generators satisfy p q - q p = 1.  The product of
-two basis monomials is the closed reordering sum
+coefficients, where the generators satisfy p q - q p = 1.  Read as
+symbols in X = p, Y = q, the normal-ordered product is the derivative
+identity
+
+    f * g = sum_j (-1)^j (d_Y^j f / j!) (d_X^j g),
+
+which on basis monomials is the closed reordering sum
 
     p^s1 q^i1 * p^s2 q^i2
         = sum_j (-1)^j j! C(i1, j) C(s2, j) p^(s1+s2-j) q^(i1+i2-j)
 
-over 0 <= j <= min(i1, s2).  The module also carries the integer grading
-by q-degree minus p-degree, the transport of weighted-degree tools along
-the basis identification with Q[X, Y], and the leading-form laws that
-connect the two worlds.
+over 0 <= j <= min(i1, s2).  The product runs on the integer kernel in
+bipoly shared with the commutative side: each operand's denominators are
+cleared once, dense operands (term pairs more than twice the packed slot
+count) go through Kronecker packing with the j terms summed in one packed
+accumulator, sparse ones through the closed sum in integers.  The module
+also carries the integer grading by q-degree minus p-degree, the
+transport of weighted-degree tools along the basis identification with
+Q[X, Y], and the leading-form laws that connect the two worlds.
 """
 
 from __future__ import annotations
@@ -18,16 +27,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, factorial
 from typing import Optional, Sequence, Union
 
 from .bipoly import (
+    _WEYL,
     NEG_INF,
     BiPoly,
     Direction,
     DirectionLike,
     _SparseTerms,
     _format_terms,
+    _product,
     as_direction,
     leading_form,
     v_deg,
@@ -45,19 +55,7 @@ class WeylElement(_SparseTerms):
             return self._scaled(Fraction(other))
         if not isinstance(other, WeylElement):
             return NotImplemented
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (s1, i1), c1 in self.items():
-            for (s2, i2), c2 in other.items():
-                c12 = c1 * c2
-                for j in range(min(i1, s2) + 1):
-                    coeff = c12 * ((-1) ** j * factorial(j) * comb(i1, j) * comb(s2, j))
-                    e = (s1 + s2 - j, i1 + i2 - j)
-                    c = acc.get(e, Fraction(0)) + coeff
-                    if c:
-                        acc[e] = c
-                    else:
-                        acc.pop(e, None)
-        return WeylElement(acc)
+        return WeylElement._from_canonical(_product(self._terms, other._terms, _WEYL))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -105,7 +103,7 @@ def phi_inv(f: BiPoly) -> WeylElement:
 
 
 def weyl_mul(z: WeylElement, w: WeylElement) -> WeylElement:
-    """Normal-ordered product; the closed reordering sum per monomial pair."""
+    """Normal-ordered product (see the module docstring)."""
     return z * w
 
 

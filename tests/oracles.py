@@ -1,14 +1,18 @@
 """Independent reference implementations used to cross-check the library.
 
-These deliberately avoid the closed-form formulas under test: products
-are normal-ordered by literal symbol rewriting, and roof chains are
-rebuilt by sweeping explicit support functionals.
+These deliberately avoid the code under test: products are
+normal-ordered by literal symbol rewriting, roof chains are rebuilt by
+sweeping explicit support functionals, and the three term-pair loops
+below multiply one Fraction pair at a time, with none of the product
+kernel's denominator clearing or packing.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial
 from typing import Dict, Tuple
 
+from weylkit.bipoly import BiPoly
 from weylkit.weyl import WeylElement
 
 Word = Tuple[str, ...]
@@ -38,6 +42,59 @@ def rewrite_product(z: WeylElement, w: WeylElement) -> WeylElement:
             for exp, c in _normal_order(word):
                 acc[exp] = acc.get(exp, Fraction(0)) + c1 * c2 * c
     return WeylElement(acc)
+
+
+def closed_sum_product(z: WeylElement, w: WeylElement) -> WeylElement:
+    """Normal-ordered product by the closed reordering sum per monomial pair.
+
+    p^s1 q^i1 * p^s2 q^i2
+        = sum_j (-1)^j j! C(i1, j) C(s2, j) p^(s1+s2-j) q^(i1+i2-j)
+    """
+    acc: dict[tuple[int, int], Fraction] = {}
+    for (s1, i1), c1 in z.items():
+        for (s2, i2), c2 in w.items():
+            c12 = c1 * c2
+            for j in range(min(i1, s2) + 1):
+                coeff = c12 * ((-1) ** j * factorial(j) * comb(i1, j) * comb(s2, j))
+                e = (s1 + s2 - j, i1 + i2 - j)
+                c = acc.get(e, Fraction(0)) + coeff
+                if c:
+                    acc[e] = c
+                else:
+                    acc.pop(e, None)
+    return WeylElement(acc)
+
+
+def schoolbook_product(f: BiPoly, g: BiPoly) -> BiPoly:
+    """Commutative product, one Fraction multiply-add per term pair."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for (i1, j1), c1 in f.items():
+        for (i2, j2), c2 in g.items():
+            e = (i1 + i2, j1 + j2)
+            c = out.get(e, Fraction(0)) + c1 * c2
+            if c:
+                out[e] = c
+            else:
+                out.pop(e, None)
+    return BiPoly(out)
+
+
+def monomial_bracket(f: BiPoly, g: BiPoly) -> BiPoly:
+    """Poisson bracket by {X^i Y^j, X^k Y^l} = (i l - j k) X^(i+k-1) Y^(j+l-1)."""
+    out = BiPoly()
+    acc: dict[tuple[int, int], Fraction] = {}
+    for (i, j), a in f.items():
+        for (k, l), b in g.items():
+            s = i * l - j * k
+            if not s:
+                continue
+            e = (i + k - 1, j + l - 1)
+            c = acc.get(e, Fraction(0)) + s * a * b
+            if c:
+                acc[e] = c
+            else:
+                acc.pop(e, None)
+    return BiPoly(acc) if acc else out
 
 
 def swept_roof_points(z: WeylElement) -> Tuple[Tuple[int, int], ...]:

@@ -14,6 +14,7 @@ from weylkit.bipoly import (
     power_decomposition,
     v_deg,
 )
+from weylkit.weyl import WeylElement
 
 import gen
 
@@ -26,6 +27,11 @@ def test_constructor_canonicalizes():
     assert BiPoly({(0, 0): Fraction(3, 2)}).constant_coeff() == Fraction(3, 2)
     with pytest.raises(ValueError):
         BiPoly({(-1, 0): 1})
+    # exponents must be integers, never truncated: 1.5 is not p, 2.9 not X^2
+    for cls in (BiPoly, WeylElement):
+        for bad in ((1.5, 0), (2.9, 1), (0, 2.0), (Fraction(1), 0), ("1", 0)):
+            with pytest.raises(ValueError):
+                cls({bad: 3})
 
 
 def test_ring_arithmetic():

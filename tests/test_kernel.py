@@ -1,0 +1,157 @@
+"""Property tests of the exact product kernel against the reference loops.
+
+Every case is run three ways: as the library picks the multiply, and
+with the choice forced to the integer schoolbook loop and to Kronecker
+packing.  Operands come from both sides of the dense/sparse rule.
+"""
+
+from contextlib import contextmanager
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weylkit import bipoly
+from weylkit.bipoly import BiPoly
+from weylkit.poisson import poisson_bracket
+from weylkit.weyl import WeylElement
+
+import oracles
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+# Slot edges of 1-, 2-, 4- and 8-byte slots and of wider ones.
+EDGES = [s * (2 ** k + d) for k in (7, 8, 15, 16, 31, 32, 63, 64, 100)
+         for d in (-1, 0) for s in (1, -1)]
+NEAR_1E30 = st.integers(10 ** 30 - 3, 10 ** 30 + 3)
+
+numerators = st.one_of(st.integers(-9, 9), st.sampled_from(EDGES), NEAR_1E30,
+                       NEAR_1E30.map(lambda n: -n))
+denominators = st.one_of(st.integers(1, 12), st.sampled_from([2 ** 8, 2 ** 32 - 1, 2 ** 64]),
+                         NEAR_1E30)
+rationals = st.builds(Fraction, numerators, denominators)
+
+
+@st.composite
+def dense_terms(draw, max_degree=5):
+    """Every monomial of total degree <= d (zero coefficients allowed)."""
+    d = draw(st.integers(0, max_degree))
+    keys = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+    return dict(zip(keys, draw(st.lists(rationals, min_size=len(keys), max_size=len(keys)))))
+
+
+def sparse_terms(max_exp):
+    exps = st.tuples(st.integers(0, max_exp), st.integers(0, max_exp))
+    return st.dictionaries(exps, rationals, max_size=4)
+
+
+operands = st.one_of(dense_terms(), sparse_terms(12))
+
+
+@contextmanager
+def forced(pairs_per_slot):
+    """Run with the dense/sparse threshold replaced (0: always pack)."""
+    saved = bipoly._PAIRS_PER_SLOT
+    bipoly._PAIRS_PER_SLOT = pairs_per_slot
+    try:
+        yield
+    finally:
+        bipoly._PAIRS_PER_SLOT = saved
+
+
+def three_ways(op, *args):
+    """op(*args) as the kernel picks, forced schoolbook, forced Kronecker."""
+    out = [op(*args)]
+    for threshold in (float("inf"), 0):
+        with forced(threshold):
+            out.append(op(*args))
+    return out
+
+
+def assert_all_equal(results, expected):
+    for got in results:
+        assert got == expected
+        assert all(c and type(c) is Fraction for _, c in got.items())
+
+
+@PROPERTY
+@given(operands, operands)
+def test_weyl_product_matches_closed_sum(f, g):
+    z, w = WeylElement(f), WeylElement(g)
+    assert_all_equal(three_ways(WeylElement.__mul__, z, w), oracles.closed_sum_product(z, w))
+
+
+@PROPERTY
+@given(operands, operands)
+def test_bipoly_product_matches_schoolbook(f, g):
+    f, g = BiPoly(f), BiPoly(g)
+    assert_all_equal(three_ways(BiPoly.__mul__, f, g), oracles.schoolbook_product(f, g))
+
+
+@PROPERTY
+@given(operands, operands)
+def test_bracket_matches_monomial_rule(f, g):
+    f, g = BiPoly(f), BiPoly(g)
+    assert_all_equal(three_ways(poisson_bracket, f, g), oracles.monomial_bracket(f, g))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.one_of(dense_terms(2), sparse_terms(3)), st.one_of(dense_terms(2), sparse_terms(3)))
+def test_weyl_product_matches_rewriting(f, g):
+    z, w = WeylElement(f), WeylElement(g)
+    assert_all_equal(three_ways(WeylElement.__mul__, z, w), oracles.rewrite_product(z, w))
+
+
+def test_both_multiplies_are_chosen_from_the_operands():
+    calls = []
+    saved = bipoly._schoolbook, bipoly._kronecker
+    bipoly._schoolbook = lambda *a: calls.append("schoolbook") or saved[0](*a)
+    bipoly._kronecker = lambda *a: calls.append("kronecker") or saved[1](*a)
+    try:
+        dense = WeylElement({(i, j): i - j + 1 for i in range(7) for j in range(7 - i)})
+        dense * dense
+        WeylElement.monomial(0, 40) * WeylElement.monomial(40, 0)
+        BiPoly.var_x() * BiPoly.var_y()
+    finally:
+        bipoly._schoolbook, bipoly._kronecker = saved
+    assert calls == ["kronecker", "schoolbook", "schoolbook"]
+
+
+def test_sparse_high_degree_operands():
+    q40, p40 = WeylElement.monomial(0, 40), WeylElement.monomial(40, 0)
+    for z, w in ((q40, p40), (p40, q40), (q40 * p40, p40 + q40), (q40 - 1, p40 * Fraction(1, 3))):
+        assert_all_equal(three_ways(WeylElement.__mul__, z, w), oracles.closed_sum_product(z, w))
+    f, g = BiPoly.monomial(40, 3, 7), BiPoly.monomial(2, 40, Fraction(-1, 9)) + 1
+    assert_all_equal(three_ways(BiPoly.__mul__, f, g), oracles.schoolbook_product(f, g))
+    assert_all_equal(three_ways(poisson_bracket, f, g), oracles.monomial_bracket(f, g))
+
+
+def test_zero_constants_monomials_and_cancellation():
+    X, Y = BiPoly.var_x(), BiPoly.var_y()
+    p, q = WeylElement.gen_p(), WeylElement.gen_q()
+    for op, a, b in ((BiPoly.__mul__, X + Y, BiPoly()), (BiPoly.__mul__, BiPoly(), X),
+                     (WeylElement.__mul__, WeylElement(), p), (poisson_bracket, X, BiPoly()),
+                     (poisson_bracket, X + 2, X ** 3 - X)):
+        assert_all_equal(three_ways(op, a, b), type(a)())
+    assert_all_equal(three_ways(WeylElement.__mul__, WeylElement.constant(Fraction(2, 3)), p),
+                     p * Fraction(2, 3))
+    assert_all_equal(three_ways(WeylElement.__mul__, q, p), WeylElement.monomial(1, 1) - 1)
+    # the cross terms cancel exactly and must leave no zero slot behind
+    assert_all_equal(three_ways(BiPoly.__mul__, X + Y, X - Y), X ** 2 - Y ** 2)
+    big = Fraction(10 ** 30 + 1, 10 ** 30 - 1)
+    dense = WeylElement({(i, j): big * (i + 1) - j for i in range(5) for j in range(5 - i)})
+    assert_all_equal(three_ways(lambda a, b: a * b - b * a, dense, dense), WeylElement())
+
+
+def test_saturated_slots():
+    # all coefficients equal and at a slot edge: every pair meeting in a
+    # slot adds with the same sign, so slot sums reach the width bound
+    for k in (7, 8, 15, 31, 63, 64):
+        for c in (2 ** k - 1, -(2 ** k)):
+            terms = {(i, j): c for i in range(5) for j in range(5 - i)}
+            z, f = WeylElement(terms), BiPoly(terms)
+            assert_all_equal(three_ways(WeylElement.__mul__, z, z),
+                             oracles.closed_sum_product(z, z))
+            assert_all_equal(three_ways(BiPoly.__mul__, f, f), oracles.schoolbook_product(f, f))
+            g = BiPoly({(i, j): c * (i + 1) for (i, j) in terms})
+            assert_all_equal(three_ways(poisson_bracket, f, g), oracles.monomial_bracket(f, g))
