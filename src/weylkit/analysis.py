@@ -6,17 +6,27 @@ successful run yields a Certificate whose reduction trace can be replayed
 step by step; the orchestrator dc_check additionally screens for elements
 that admit no partner at all and reports honest inconclusiveness when no
 criterion applies.
+
+The pair property [z, w] = 1 is checked once in dc_check, and once in
+each public criterion_* function, whose callers may pass anything.
+Behind those checks the criteria run unchecked: a pair one criterion
+hands to another is an automorphic image of a checked pair or differs
+from one by a polynomial in z, so its commutator is still 1.
+replay_certificate keeps its check after every reduction step, and
+apply_to_pair its checks around every word: they verify certificates
+and automorphisms on their own, without trusting the code that made them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from math import gcd
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .bipoly import BiPoly, Direction, DirectionLike, as_direction, is_homogeneous, v_deg
+from .bipoly import BiPoly, Direction, as_direction, is_homogeneous, v_deg
 from .errors import InvariantViolation, NotAWeylPairError, ReplayError
 from .geometry import roof
 from .poisson import centralizer_generator, poisson_bracket
@@ -38,44 +48,30 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # small coefficient helpers
 
-def _x_coeffs(f: BiPoly) -> tuple[Fraction, ...]:
-    """Coefficient list of an element of K[X], constant term first."""
+def _coeffs(f: BiPoly, var: int) -> tuple[Fraction, ...]:
+    """Coefficients of a polynomial in X alone (var 0) or Y alone (var 1).
+
+    The constant term comes first and the last entry is nonzero, so the
+    tuple never needs trimming.
+    """
     out: dict[int, Fraction] = {}
-    for (i, j), c in f.items():
-        if j != 0:
-            raise InvariantViolation("expected a polynomial in X only")
-        out[i] = c
+    for e, c in f.items():
+        if e[1 - var]:
+            raise InvariantViolation("expected a polynomial in one variable")
+        out[e[var]] = c
     if not out:
         return ()
-    top = max(out)
-    return tuple(out.get(i, Fraction(0)) for i in range(top + 1))
+    return tuple(out.get(k, Fraction(0)) for k in range(max(out) + 1))
 
 
-def _y_coeffs(f: BiPoly) -> tuple[Fraction, ...]:
-    out: dict[int, Fraction] = {}
-    for (i, j), c in f.items():
-        if i != 0:
-            raise InvariantViolation("expected a polynomial in Y only")
-        out[j] = c
-    if not out:
-        return ()
-    top = max(out)
-    return tuple(out.get(j, Fraction(0)) for j in range(top + 1))
+def _weyl_poly(coeffs: Sequence[Fraction], var: int) -> WeylElement:
+    """The polynomial in p alone (var 0) or q alone (var 1) with these coefficients."""
+    return WeylElement({((k, 0), (0, k))[var]: c for k, c in enumerate(coeffs)})
 
 
-def _weyl_in_p(coeffs: Sequence[Fraction]) -> WeylElement:
-    return WeylElement({(i, 0): c for i, c in enumerate(coeffs)})
-
-
-def _weyl_in_q(coeffs: Sequence[Fraction]) -> WeylElement:
-    return WeylElement({(0, j): c for j, c in enumerate(coeffs)})
-
-
-def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+def _layer(el: WeylElement, j: int) -> BiPoly:
+    """The terms of el with q-exponent j, as a polynomial in X."""
+    return BiPoly({(i, 0): c for (i, k), c in el.items() if k == j})
 
 
 def _require_pair(z: WeylElement, w: WeylElement) -> None:
@@ -286,7 +282,7 @@ def _classify_boundary(cf: BiPoly, cg: BiPoly,
         raise InvariantViolation("layer degrees incompatible with a unit bracket")
     if t == 1:
         raise InvariantViolation("a width-one top layer forces a monomial first entry")
-    coeffs = _x_coeffs(cf)
+    coeffs = _coeffs(cf, 0)
     if len(coeffs) != 2 or coeffs[0] == 0 or coeffs[1] == 0:
         raise InvariantViolation("flat first entry must be an affine X polynomial")
     shift, slope = coeffs[0], coeffs[1]
@@ -343,42 +339,44 @@ class Certificate:
     final_pair: tuple[WeylElement, WeylElement]
 
 
-_SHAPES = ("v01-q", "v01-p", "homogeneous-q", "homogeneous-p", "grading-p", "grading-q")
-
-
 def _reconstruct_final(shape: str, nf: Mapping[str, object]) -> tuple[WeylElement, WeylElement]:
     p = WeylElement.gen_p()
     q = WeylElement.gen_q()
-    if shape == "v01-q":
-        alpha, gamma = nf["alpha"], nf["gamma"]
-        zf = alpha * q + _weyl_in_p(nf["g"])
-        wf = WeylElement.constant(gamma) - (1 / alpha) * p
-    elif shape == "v01-p":
-        alpha, beta = nf["alpha"], nf["beta"]
-        zf = alpha * p + WeylElement.constant(beta)
-        wf = (1 / alpha) * q + _weyl_in_p(nf["g"])
-    elif shape == "homogeneous-q":
-        lam, mu = nf["lam"], nf["mu"]
-        if lam * mu != -1:
-            raise ReplayError("homogeneous q-shape must have lam*mu = -1")
-        zf = lam * q
-        wf = mu * p + _weyl_in_q(nf["l"])
-    elif shape == "homogeneous-p":
-        lam, mu = nf["lam"], nf["mu"]
-        if lam * mu != 1:
-            raise ReplayError("homogeneous p-shape must have lam*mu = 1")
-        zf = lam * p
-        wf = mu * q + _weyl_in_p(nf["l"])
-    elif shape == "grading-p":
-        lam, gamma = nf["lam"], nf["gamma"]
-        zf = lam * p + WeylElement.constant(gamma)
-        wf = (1 / lam) * q + _weyl_in_p(nf["f"])
-    elif shape == "grading-q":
-        alpha, gamma = nf["alpha"], nf["gamma"]
-        zf = alpha * q + WeylElement.constant(gamma)
-        wf = -(1 / alpha) * p + _weyl_in_q(nf["g"])
-    else:
-        raise ReplayError(f"unknown terminal shape {shape!r}")
+    try:
+        if shape == "v01-q":
+            alpha, gamma = nf["alpha"], nf["gamma"]
+            zf = alpha * q + _weyl_poly(nf["g"], 0)
+            wf = WeylElement.constant(gamma) - (1 / alpha) * p
+        elif shape == "v01-p":
+            alpha, beta = nf["alpha"], nf["beta"]
+            zf = alpha * p + WeylElement.constant(beta)
+            wf = (1 / alpha) * q + _weyl_poly(nf["g"], 0)
+        elif shape == "homogeneous-q":
+            lam, mu = nf["lam"], nf["mu"]
+            if lam * mu != -1:
+                raise ReplayError("homogeneous q-shape must have lam*mu = -1")
+            zf = lam * q
+            wf = mu * p + _weyl_poly(nf["l"], 1)
+        elif shape == "homogeneous-p":
+            lam, mu = nf["lam"], nf["mu"]
+            if lam * mu != 1:
+                raise ReplayError("homogeneous p-shape must have lam*mu = 1")
+            zf = lam * p
+            wf = mu * q + _weyl_poly(nf["l"], 0)
+        elif shape == "grading-p":
+            lam, gamma = nf["lam"], nf["gamma"]
+            zf = lam * p + WeylElement.constant(gamma)
+            wf = (1 / lam) * q + _weyl_poly(nf["f"], 0)
+        elif shape == "grading-q":
+            alpha, gamma = nf["alpha"], nf["gamma"]
+            zf = alpha * q + WeylElement.constant(gamma)
+            wf = -(1 / alpha) * p + _weyl_poly(nf["g"], 1)
+        else:
+            raise ReplayError(f"unknown terminal shape {shape!r}")
+    except KeyError as exc:
+        raise ReplayError(f"normal form lacks the entry {exc}") from None
+    except ZeroDivisionError:
+        raise ReplayError("normal form has a zero slope") from None
     return zf, wf
 
 
@@ -421,8 +419,25 @@ def _chain(entry: str, prefix: Sequence[TraceStep], sub: Certificate,
 _SWAP_STEP = WordStep((PairSwap(),))
 
 
+def _either_side(one_sided: Callable[..., Optional[Certificate]],
+                 z: WeylElement, w: WeylElement, **options) -> Optional[Certificate]:
+    """Run a one-sided criterion on (z, w), then on the swapped pair (w, -z).
+
+    A certificate found on the swapped side starts with the swap step.
+    """
+    for pre in ((), (PairSwap(),)):
+        zz, ww = (w, -z) if pre else (z, w)
+        cert = one_sided(zz, ww, **options)
+        if cert is not None:
+            return replace(cert, trace=(_SWAP_STEP,) + cert.trace) if pre else cert
+    return None
+
+
 # ---------------------------------------------------------------------------
 # individual criteria
+#
+# Each public criterion checks [z, w] = 1 and runs its private code, which
+# assumes a checked pair: the first entry of a pair is never constant.
 
 def criterion_homogeneous(z: WeylElement, w: WeylElement) -> Optional[Certificate]:
     """Certify a pair whose first entry sits in a single graded level.
@@ -433,42 +448,38 @@ def criterion_homogeneous(z: WeylElement, w: WeylElement) -> Optional[Certificat
     w = mu*q + l(p) and lam*mu = 1.
     """
     _require_pair(z, w)
-    for pre in ((), (PairSwap(),)):
-        zz, ww = (z, w) if not pre else (w, -z)
-        if zz.is_zero() or zz.is_constant():
-            continue
-        parts = graded_decomp(zz).parts
-        if len(parts) != 1:
-            continue
-        level = parts[0][0]
-        p = WeylElement.gen_p()
-        q = WeylElement.gen_q()
-        if level == 1:
-            if zz.support() != frozenset({(0, 1)}):
-                raise InvariantViolation("level-one entry of a pair must be a multiple of q")
-            lam = zz.coeff(0, 1)
-            mu = ww.coeff(1, 0)
-            if lam * mu != -1:
-                raise InvariantViolation("partner slope must satisfy lam*mu = -1")
-            l = _y_coeffs(phi(ww - mu * p))
-            nf = {"shape": "homogeneous-q", "lam": lam, "mu": mu, "l": _trim(l),
-                  "route": ("homogeneous",)}
-        elif level == -1:
-            if zz.support() != frozenset({(1, 0)}):
-                raise InvariantViolation("level-minus-one entry of a pair must be a multiple of p")
-            lam = zz.coeff(1, 0)
-            mu = ww.coeff(0, 1)
-            if lam * mu != 1:
-                raise InvariantViolation("partner slope must satisfy lam*mu = 1")
-            l = _x_coeffs(phi(ww - mu * q))
-            nf = {"shape": "homogeneous-p", "lam": lam, "mu": mu, "l": _trim(l),
-                  "route": ("homogeneous",)}
-        else:
-            raise InvariantViolation(
-                f"no pair can have an entry confined to graded level {level}")
-        trace: tuple[TraceStep, ...] = (WordStep(pre),) if pre else ()
-        return Certificate("homogeneous", nf, trace, (zz, ww))
-    return None
+    return _either_side(_homogeneous, z, w)
+
+
+def _homogeneous(z: WeylElement, w: WeylElement) -> Optional[Certificate]:
+    parts = graded_decomp(z).parts
+    if len(parts) != 1:
+        return None
+    level = parts[0][0]
+    p = WeylElement.gen_p()
+    q = WeylElement.gen_q()
+    if level == 1:
+        if z.support() != frozenset({(0, 1)}):
+            raise InvariantViolation("level-one entry of a pair must be a multiple of q")
+        lam = z.coeff(0, 1)
+        mu = w.coeff(1, 0)
+        if lam * mu != -1:
+            raise InvariantViolation("partner slope must satisfy lam*mu = -1")
+        nf = {"shape": "homogeneous-q", "lam": lam, "mu": mu,
+              "l": _coeffs(phi(w - mu * p), 1), "route": ("homogeneous",)}
+    elif level == -1:
+        if z.support() != frozenset({(1, 0)}):
+            raise InvariantViolation("level-minus-one entry of a pair must be a multiple of p")
+        lam = z.coeff(1, 0)
+        mu = w.coeff(0, 1)
+        if lam * mu != 1:
+            raise InvariantViolation("partner slope must satisfy lam*mu = 1")
+        nf = {"shape": "homogeneous-p", "lam": lam, "mu": mu,
+              "l": _coeffs(phi(w - mu * q), 0), "route": ("homogeneous",)}
+    else:
+        raise InvariantViolation(
+            f"no pair can have an entry confined to graded level {level}")
+    return Certificate("homogeneous", nf, (), (z, w))
 
 
 def criterion_v01(z: WeylElement, w: WeylElement) -> Optional[Certificate]:
@@ -480,31 +491,28 @@ def criterion_v01(z: WeylElement, w: WeylElement) -> Optional[Certificate]:
     z = alpha*p + beta, w = q/alpha + g(p) directly.
     """
     _require_pair(z, w)
-    for pre in ((), (PairSwap(),)):
-        zz, ww = (z, w) if not pre else (w, -z)
-        if zz.is_zero() or zz.is_constant():
-            continue
-        v = v_deg_weyl(zz, (0, 1))
-        if v == 1:
-            return _v01_line(zz, ww, pre)
-        if v == 0:
-            return _v01_flat(zz, ww, pre)
+    return _either_side(_v01, z, w)
+
+
+def _v01(z: WeylElement, w: WeylElement) -> Optional[Certificate]:
+    v = v_deg_weyl(z, (0, 1))
+    if v == 1:
+        return _v01_line(z, w)
+    if v == 0:
+        return _v01_flat(z, w)
     return None
 
 
-def _v01_line(zz: WeylElement, ww: WeylElement,
-              pre: Word) -> Certificate:
-    f_poly = BiPoly({(i, 0): c for (i, j), c in zz.items() if j == 1})
-    steps: list[TraceStep] = [WordStep(pre)] if pre else []
+def _v01_line(z: WeylElement, w: WeylElement) -> Certificate:
+    f_poly = _layer(z, 1)
+    steps: list[TraceStep] = []
     h: dict[int, Fraction] = {}
-    cur_w = ww
-    original_w = ww
+    cur_w = w
     while True:
         j = v_deg_weyl(cur_w, (0, 1))
         if j <= 0:
             break
-        lead = leading_form_weyl(cur_w, (0, 1))
-        g_tilde = BiPoly({(i, 0): c for (i, jj), c in lead.items()})
+        g_tilde = _layer(cur_w, j)
         fj = f_poly**j
         _, cf = fj.glex_lead()
         _, cg = g_tilde.glex_lead()
@@ -513,46 +521,42 @@ def _v01_line(zz: WeylElement, ww: WeylElement,
             raise InvariantViolation("top layer of the partner must be a power of the top layer")
         steps.append(ReduceStep(Direction(0, 1), j, mu, j))
         h[j] = mu
-        cur_w = cur_w - mu * zz**j
+        cur_w = cur_w - mu * z**j
         if v_deg_weyl(cur_w, (0, 1)) >= j:
             raise InvariantViolation("reduction failed to lower the Y-degree")
-    l = _x_coeffs(phi(cur_w))
-    f_coeffs = _x_coeffs(f_poly)
-    if len(_trim(f_coeffs)) != 1:
+    l = _coeffs(phi(cur_w), 0)
+    f_coeffs = _coeffs(f_poly, 0)
+    if len(f_coeffs) != 1:
         raise InvariantViolation("the q coefficient must be a nonzero constant")
     alpha = f_coeffs[0]
-    lt = _trim(l)
-    if len(lt) > 2 or (len(lt) == 2 and lt[1] != -1 / alpha):
+    if len(l) > 2 or (len(l) == 2 and l[1] != -1 / alpha):
         raise InvariantViolation("reduced partner must be affine in p with slope -1/alpha")
-    gamma = lt[0] if lt else Fraction(0)
-    g_coeffs = _trim(_x_coeffs(BiPoly({(i, 0): c for (i, j2), c in zz.items() if j2 == 0})))
-    h_coeffs = _trim([h.get(j, Fraction(0)) for j in range(max(h) + 1)] if h else [])
+    gamma = l[0] if l else Fraction(0)
+    g_coeffs = _coeffs(_layer(z, 0), 0)
+    h_coeffs = tuple(h.get(j, Fraction(0)) for j in range(max(h) + 1)) if h else ()
     rebuilt = (WeylElement.constant(gamma) - (1 / alpha) * WeylElement.gen_p()
-               + sum((c * zz**j for j, c in enumerate(h_coeffs) if c), WeylElement.zero()))
-    if rebuilt != original_w:
+               + sum((c * z**j for j, c in enumerate(h_coeffs) if c), WeylElement.zero()))
+    if rebuilt != w:
         raise InvariantViolation("normal form fails to rebuild the partner exactly")
     nf = {"shape": "v01-q", "alpha": alpha, "g": g_coeffs, "h": h_coeffs,
           "gamma": gamma, "route": ("v01",)}
-    return Certificate("v01", nf, tuple(steps), (zz, cur_w))
+    return Certificate("v01", nf, tuple(steps), (z, cur_w))
 
 
-def _v01_flat(zz: WeylElement, ww: WeylElement,
-              pre: Word) -> Certificate:
-    j = v_deg_weyl(ww, (0, 1))
+def _v01_flat(z: WeylElement, w: WeylElement) -> Certificate:
+    j = v_deg_weyl(w, (0, 1))
     if j != 1:
         raise InvariantViolation("partner of a p-polynomial must have Y-degree 1")
-    l_coeffs = _trim(_x_coeffs(BiPoly({(i, 0): c for (i, jj), c in ww.items() if jj == 1})))
-    f_coeffs = _trim(_x_coeffs(phi(zz)))
+    l_coeffs = _coeffs(_layer(w, 1), 0)
+    f_coeffs = _coeffs(phi(z), 0)
     if len(f_coeffs) != 2:
         raise InvariantViolation("first entry must be affine in p")
     alpha, beta = f_coeffs[1], f_coeffs[0]
     if len(l_coeffs) != 1 or l_coeffs[0] * alpha != 1:
         raise InvariantViolation("partner q coefficient must invert the p slope")
-    g_coeffs = _trim(_x_coeffs(BiPoly({(i, 0): c for (i, jj), c in ww.items() if jj == 0})))
-    nf = {"shape": "v01-p", "alpha": alpha, "beta": beta, "g": g_coeffs,
+    nf = {"shape": "v01-p", "alpha": alpha, "beta": beta, "g": _coeffs(_layer(w, 0), 0),
           "route": ("v01",)}
-    trace: tuple[TraceStep, ...] = (WordStep(pre),) if pre else ()
-    return Certificate("v01", nf, trace, (zz, ww))
+    return Certificate("v01", nf, (), (z, w))
 
 
 def criterion_grading(z: WeylElement, w: WeylElement) -> Optional[Certificate]:
@@ -563,35 +567,32 @@ def criterion_grading(z: WeylElement, w: WeylElement) -> Optional[Certificate]:
     or of q (upper half); the partner shapes are forced.
     """
     _require_pair(z, w)
-    p = WeylElement.gen_p()
-    q = WeylElement.gen_q()
-    for pre in ((), (PairSwap(),)):
-        zz, ww = (z, w) if not pre else (w, -z)
-        if zz.is_zero():
-            continue
-        trace: tuple[TraceStep, ...] = (WordStep(pre),) if pre else ()
-        if in_D_leq(zz):
-            gamma = zz.constant_coeff()
-            core = zz - WeylElement.constant(gamma)
-            if core.support() != frozenset({(1, 0)}):
-                raise InvariantViolation(
-                    "a lower-half entry of a pair must be p-linear plus a constant")
-            lam = core.coeff(1, 0)
-            f = _trim(_x_coeffs(phi(ww - (1 / lam) * q)))
-            nf = {"shape": "grading-p", "lam": lam, "gamma": gamma, "f": f,
-                  "route": ("grading",)}
-            return Certificate("grading", nf, trace, (zz, ww))
-        if in_D_geq(zz):
-            gamma = zz.constant_coeff()
-            core = zz - WeylElement.constant(gamma)
-            if core.support() != frozenset({(0, 1)}):
-                raise InvariantViolation(
-                    "an upper-half entry of a pair must be q-linear plus a constant")
-            alpha = core.coeff(0, 1)
-            g = _trim(_y_coeffs(phi(ww + (1 / alpha) * p)))
-            nf = {"shape": "grading-q", "alpha": alpha, "gamma": gamma, "g": g,
-                  "route": ("grading",)}
-            return Certificate("grading", nf, trace, (zz, ww))
+    return _either_side(_grading, z, w)
+
+
+def _grading(z: WeylElement, w: WeylElement) -> Optional[Certificate]:
+    if in_D_leq(z):
+        gamma = z.constant_coeff()
+        core = z - WeylElement.constant(gamma)
+        if core.support() != frozenset({(1, 0)}):
+            raise InvariantViolation(
+                "a lower-half entry of a pair must be p-linear plus a constant")
+        lam = core.coeff(1, 0)
+        f = _coeffs(phi(w - (1 / lam) * WeylElement.gen_q()), 0)
+        nf = {"shape": "grading-p", "lam": lam, "gamma": gamma, "f": f,
+              "route": ("grading",)}
+        return Certificate("grading", nf, (), (z, w))
+    if in_D_geq(z):
+        gamma = z.constant_coeff()
+        core = z - WeylElement.constant(gamma)
+        if core.support() != frozenset({(0, 1)}):
+            raise InvariantViolation(
+                "an upper-half entry of a pair must be q-linear plus a constant")
+        alpha = core.coeff(0, 1)
+        g = _coeffs(phi(w + (1 / alpha) * WeylElement.gen_p()), 1)
+        nf = {"shape": "grading-q", "alpha": alpha, "gamma": gamma, "g": g,
+              "route": ("grading",)}
+        return Certificate("grading", nf, (), (z, w))
     return None
 
 
@@ -607,59 +608,53 @@ def criterion_D_ge_minus1(z: WeylElement, w: WeylElement, *,
     match then declines instead of claiming anything.
     """
     _require_pair(z, w)
-    for pre in ((), (PairSwap(),)):
-        zz, ww = (z, w) if not pre else (w, -z)
-        if zz.is_zero():
-            continue
-        low = min(grade(e) for e in zz.support())
-        pre_steps: list[TraceStep] = [WordStep(pre)] if pre else []
-        if low >= 0:
-            sub = criterion_grading(zz, ww)
-            if sub is None:
-                raise InvariantViolation("an upper-half entry must satisfy the grading criterion")
-            return _chain("D_ge_minus1", pre_steps, sub, {"s": 0})
-        s = -low
-        z_low = WeylElement({e: c for e, c in zz.items() if grade(e) == low})
-        if s > 1:
-            if not assume_centralizer_cyclic:
-                continue
-            if centralizer_counterexamples(z_low, max_exp=6):
-                continue
-        steps = list(pre_steps)
-        cur_w = ww
-        failed = False
-        while True:
-            w_low_level = min(grade(e) for e in cur_w.support())
-            if w_low_level >= 0:
-                break
-            k = -w_low_level
-            if k % s != 0:
-                if s == 1:
-                    raise InvariantViolation("negative level must be a multiple of the entry level")
-                failed = True
-                break
-            d = k // s
-            target = WeylElement({e: c for e, c in cur_w.items() if grade(e) == w_low_level})
-            zpow = z_low**d
-            e0, c0 = zpow.glex_lead()
-            alpha = target.coeff(*e0) / c0
-            if target != alpha * zpow:
-                if s == 1:
-                    raise InvariantViolation(
-                        "lowest level of the partner must be a power of the entry level")
-                failed = True
-                break
-            steps.append(ReduceStep(Direction(1, -1), k, alpha, d))
-            cur_w = cur_w - alpha * zz**d
-            if cur_w.is_zero() or min(grade(e) for e in cur_w.support()) <= w_low_level:
-                raise InvariantViolation("reduction failed to raise the lowest level")
-        if failed:
-            continue
-        sub = criterion_grading(zz, cur_w)
+    return _either_side(_D_ge_minus1, z, w, assume_centralizer_cyclic=assume_centralizer_cyclic)
+
+
+def _D_ge_minus1(z: WeylElement, w: WeylElement, *,
+                 assume_centralizer_cyclic: bool) -> Optional[Certificate]:
+    low = min(grade(e) for e in z.support())
+    if low >= 0:
+        sub = _grading(z, w)
         if sub is None:
-            raise InvariantViolation("stripped partner must satisfy the grading criterion")
-        return _chain("D_ge_minus1", steps, sub, {"s": s})
-    return None
+            raise InvariantViolation("an upper-half entry must satisfy the grading criterion")
+        return _chain("D_ge_minus1", (), sub, {"s": 0})
+    s = -low
+    z_low = WeylElement({e: c for e, c in z.items() if grade(e) == low})
+    if s > 1:
+        if not assume_centralizer_cyclic:
+            return None
+        if centralizer_counterexamples(z_low, max_exp=6):
+            return None
+    steps: list[TraceStep] = []
+    cur_w = w
+    while True:
+        w_low_level = min(grade(e) for e in cur_w.support())
+        if w_low_level >= 0:
+            break
+        k = -w_low_level
+        if k % s != 0:
+            if s == 1:
+                raise InvariantViolation("negative level must be a multiple of the entry level")
+            return None
+        d = k // s
+        target = WeylElement({e: c for e, c in cur_w.items() if grade(e) == w_low_level})
+        zpow = z_low**d
+        e0, c0 = zpow.glex_lead()
+        alpha = target.coeff(*e0) / c0
+        if target != alpha * zpow:
+            if s == 1:
+                raise InvariantViolation(
+                    "lowest level of the partner must be a power of the entry level")
+            return None
+        steps.append(ReduceStep(Direction(1, -1), k, alpha, d))
+        cur_w = cur_w - alpha * z**d
+        if cur_w.is_zero() or min(grade(e) for e in cur_w.support()) <= w_low_level:
+            raise InvariantViolation("reduction failed to raise the lowest level")
+    sub = _either_side(_grading, z, cur_w)
+    if sub is None:
+        raise InvariantViolation("stripped partner must satisfy the grading criterion")
+    return _chain("D_ge_minus1", steps, sub, {"s": s})
 
 
 # ---------------------------------------------------------------------------
@@ -702,9 +697,9 @@ def _omega_resolution(z: WeylElement, w: WeylElement, d: Direction,
     if oc.witness_word:
         steps.append(WordStep(oc.witness_word))
         zz, ww = apply_to_pair(oc.witness_word, zz, ww)
-    sub = criterion_v01(zz, ww)
+    sub = _either_side(_v01, zz, ww)
     if sub is None:
-        sub = criterion_grading(zz, ww)
+        sub = _either_side(_grading, zz, ww)
     if sub is None:
         raise InvariantViolation("canonical case resolution found no terminal reduction")
     extra = {"direction": d.as_tuple(), "omega_case": oc.case.value,
@@ -719,6 +714,10 @@ def criterion_leading_bracket(z: WeylElement, w: WeylElement) -> Optional[Certif
     first direction with unit bracket is classified and resolved.
     """
     _require_pair(z, w)
+    return _leading_bracket(z, w)
+
+
+def _leading_bracket(z: WeylElement, w: WeylElement) -> Optional[Certificate]:
     for d in _fan_directions(z, w):
         f = leading_form_weyl(z, d)
         g = leading_form_weyl(w, d)
@@ -728,23 +727,23 @@ def criterion_leading_bracket(z: WeylElement, w: WeylElement) -> Optional[Certif
     return None
 
 
-def _reduce_low_degree_z(z: WeylElement, w: WeylElement, d: Direction) -> Certificate:
-    """Close out a direction whose first entry has nonpositive degree."""
+def _reduce_low_degree(z: WeylElement, w: WeylElement, d: Direction) -> Certificate:
+    """Close out a direction along which an entry has degree 0 or below."""
     r, s = d.as_tuple()
     if r > 0 and s > 0:
         raise InvariantViolation("entry of a pair cannot be constant")
     if (r, s) == (0, 1):
-        sub = criterion_v01(z, w)
+        sub = _either_side(_v01, z, w)
         if sub is None:
             raise InvariantViolation("a p-polynomial entry must satisfy the Y-degree criterion")
         return sub
     if (r, s) == (1, 0):
         zz, ww = apply_to_pair((Rot90(),), z, w)
-        sub = criterion_v01(zz, ww)
+        sub = _either_side(_v01, zz, ww)
         if sub is None:
             raise InvariantViolation("a rotated q-polynomial entry must satisfy the Y-degree criterion")
         return _chain("rotate", [WordStep((Rot90(),))], sub)
-    sub = criterion_grading(z, w)
+    sub = _either_side(_grading, z, w)
     if sub is None:
         raise InvariantViolation("a graded-half entry must satisfy the grading criterion")
     return sub
@@ -760,7 +759,7 @@ def _cf_kf_along(z: WeylElement, w: WeylElement, d: Direction) -> Certificate:
     """
     a = v_deg_weyl(z, d)
     if a <= 0:
-        sub = _reduce_low_degree_z(z, w, d)
+        sub = _reduce_low_degree(z, w, d)
         return _chain("cf_kf", (), sub, {"direction": d.as_tuple()})
     f = leading_form_weyl(z, d)
     _, m = centralizer_generator(f, d)
@@ -771,7 +770,7 @@ def _cf_kf_along(z: WeylElement, w: WeylElement, d: Direction) -> Certificate:
     while True:
         b = v_deg_weyl(cur_w, d)
         if b <= 0:
-            sub = _reduce_low_degree_w(z, cur_w, d)
+            sub = _reduce_low_degree(z, cur_w, d)
             return _chain("cf_kf", steps, sub, {"direction": d.as_tuple()})
         g = leading_form_weyl(cur_w, d)
         br = poisson_bracket(f, g)
@@ -795,28 +794,6 @@ def _cf_kf_along(z: WeylElement, w: WeylElement, d: Direction) -> Certificate:
             raise InvariantViolation("reduction failed to lower the direction-degree")
 
 
-def _reduce_low_degree_w(z: WeylElement, w: WeylElement, d: Direction) -> Certificate:
-    """Close out the loop when the partner degree has dropped to 0 or below."""
-    r, s = d.as_tuple()
-    if r > 0 and s > 0:
-        raise InvariantViolation("partner of a pair cannot be constant")
-    if (r, s) == (0, 1):
-        sub = criterion_v01(z, w)
-        if sub is None:
-            raise InvariantViolation("a p-polynomial partner must satisfy the Y-degree criterion")
-        return sub
-    if (r, s) == (1, 0):
-        zz, ww = apply_to_pair((Rot90(),), z, w)
-        sub = criterion_v01(zz, ww)
-        if sub is None:
-            raise InvariantViolation("a rotated q-polynomial partner must satisfy the Y-degree criterion")
-        return _chain("rotate", [WordStep((Rot90(),))], sub)
-    sub = criterion_grading(z, w)
-    if sub is None:
-        raise InvariantViolation("a graded-half partner must satisfy the grading criterion")
-    return sub
-
-
 def criterion_cf_kf(z: WeylElement, w: WeylElement) -> Optional[Certificate]:
     """Certify a pair via the reduction loop over a primitive leading form.
 
@@ -824,6 +801,10 @@ def criterion_cf_kf(z: WeylElement, w: WeylElement) -> Optional[Certificate]:
     trivial power decomposition, then runs the three-step loop there.
     """
     _require_pair(z, w)
+    return _cf_kf(z, w)
+
+
+def _cf_kf(z: WeylElement, w: WeylElement) -> Optional[Certificate]:
     for d in _fan_directions(z):
         f = leading_form_weyl(z, d)
         if f.is_constant():
@@ -845,6 +826,10 @@ def criterion_support(z: WeylElement, w: WeylElement) -> Optional[Certificate]:
     matching direction is handed to the reduction loop.
     """
     _require_pair(z, w)
+    return _support(z, w)
+
+
+def _support(z: WeylElement, w: WeylElement) -> Optional[Certificate]:
     for d in _fan_directions(z):
         f = leading_form_weyl(z, d)
         sup = f.support()
@@ -867,31 +852,30 @@ def criterion_two_homogeneous(z: WeylElement, w: WeylElement) -> Optional[Certif
     that form has two support points, so the reduction loop applies.
     """
     _require_pair(z, w)
-    for pre in ((), (PairSwap(),)):
-        zz, ww = (z, w) if not pre else (w, -z)
-        if zz.is_zero():
-            continue
-        parts = graded_decomp(zz).parts
-        pre_steps: list[TraceStep] = [WordStep(pre)] if pre else []
-        if len(parts) == 1:
-            sub = criterion_homogeneous(zz, ww)
-            if sub is None:
-                raise InvariantViolation("single graded part must satisfy the homogeneous criterion")
-            return _chain("two_homogeneous", pre_steps, sub)
-        if len(parts) == 2:
-            (k1, part1), (k2, part2) = parts
-            i1 = max(i for i, _ in part1.support())
-            i2 = max(i for i, _ in part2.support())
-            j1, j2 = i1 + k1, i2 + k2
-            r, s = j2 - j1, i1 - i2
-            if r + s < 0:
-                r, s = -r, -s
-            d = as_direction((r, s))
-            f = leading_form_weyl(zz, d)
-            if len(f.support()) != 2:
-                raise InvariantViolation("joint direction must expose exactly two support points")
-            sub = _cf_kf_along(zz, ww, d)
-            return _chain("two_homogeneous", pre_steps, sub, {"direction": d.as_tuple()})
+    return _either_side(_two_homogeneous, z, w)
+
+
+def _two_homogeneous(z: WeylElement, w: WeylElement) -> Optional[Certificate]:
+    parts = graded_decomp(z).parts
+    if len(parts) == 1:
+        sub = _homogeneous(z, w)
+        if sub is None:
+            raise InvariantViolation("single graded part must satisfy the homogeneous criterion")
+        return _chain("two_homogeneous", (), sub)
+    if len(parts) == 2:
+        (k1, part1), (k2, part2) = parts
+        i1 = max(i for i, _ in part1.support())
+        i2 = max(i for i, _ in part2.support())
+        j1, j2 = i1 + k1, i2 + k2
+        r, s = j2 - j1, i1 - i2
+        if r + s < 0:
+            r, s = -r, -s
+        d = as_direction((r, s))
+        f = leading_form_weyl(z, d)
+        if len(f.support()) != 2:
+            raise InvariantViolation("joint direction must expose exactly two support points")
+        sub = _cf_kf_along(z, w, d)
+        return _chain("two_homogeneous", (), sub, {"direction": d.as_tuple()})
     return None
 
 
@@ -955,8 +939,9 @@ def dc_check(z: WeylElement, w: WeylElement, *,
     The optional pre_word is applied to the pair first.  Elements with a
     diagonal roof vertex inside a graded half are reported as admitting no
     partner before the commutator is even checked; invalid pairs report
-    NotAWeylPair; otherwise the criteria run in a fixed order and the
-    first certificate wins, after an internal replay.
+    NotAWeylPair; otherwise the criteria run in a fixed order, on the
+    pair checked here once, and the first certificate wins, after an
+    internal replay.
     """
     if pre_word:
         try:
@@ -973,16 +958,16 @@ def dc_check(z: WeylElement, w: WeylElement, *,
         return DCReport(Outcome.NOT_A_WEYL_PAIR, None,
                         "commutator of the input pair is not 1", (), (z, w))
 
-    battery: tuple[tuple[str, object], ...] = (
-        ("homogeneous", criterion_homogeneous),
-        ("v01", criterion_v01),
-        ("grading", criterion_grading),
-        ("D_ge_minus1", lambda a, b: criterion_D_ge_minus1(
-            a, b, assume_centralizer_cyclic=assume_centralizer_cyclic)),
-        ("two_homogeneous", criterion_two_homogeneous),
-        ("support", criterion_support),
-        ("leading_bracket", criterion_leading_bracket),
-        ("cf_kf", criterion_cf_kf),
+    battery: tuple[tuple[str, Callable[..., Optional[Certificate]]], ...] = (
+        ("homogeneous", partial(_either_side, _homogeneous)),
+        ("v01", partial(_either_side, _v01)),
+        ("grading", partial(_either_side, _grading)),
+        ("D_ge_minus1", partial(_either_side, _D_ge_minus1,
+                                assume_centralizer_cyclic=assume_centralizer_cyclic)),
+        ("two_homogeneous", partial(_either_side, _two_homogeneous)),
+        ("support", _support),
+        ("leading_bracket", _leading_bracket),
+        ("cf_kf", _cf_kf),
     )
     attempts: list[AttemptRecord] = []
     for name, run in battery:

@@ -388,6 +388,36 @@ def _factors(a: list, b: list, w: int, rule: str) -> list[tuple[int, list, list]
     return out
 
 
+def _substitute(f: _SparseTerms, x_image: _SparseTerms, y_image: _SparseTerms):
+    """Sum of c * x_image^i * y_image^j over the terms c (i, j) of f.
+
+    x_image and y_image belong to one algebra, commutative or not, and each
+    of their powers is formed once, from the power before it.
+    """
+    one = type(x_image)({(0, 0): 1})
+    powers_x, powers_y = [one], [one]
+
+    def power(cache, base, n):
+        while len(cache) <= n:
+            cache.append(cache[-1] * base)
+        return cache[n]
+
+    acc = type(x_image)()
+    for (i, j), c in f.items():
+        acc = acc + power(powers_x, x_image, i) * power(powers_y, y_image, j) * c
+    return acc
+
+
+def _poly_eval(coeffs: Iterable[Scalar], base: _SparseTerms):
+    """Sum of c_k * base^k over coeffs, listed from the constant term up."""
+    acc = type(base)()
+    power = type(base)({(0, 0): 1})
+    for c in coeffs:
+        acc = acc + power._scaled(_fr(c))
+        power = power * base
+    return acc
+
+
 class BiPoly(_SparseTerms):
     """Element of Q[X, Y] with commutative multiplication."""
 
@@ -418,18 +448,7 @@ class BiPoly(_SparseTerms):
 
     def substitute(self, x_image: "BiPoly", y_image: "BiPoly") -> "BiPoly":
         """Evaluate at X = x_image, Y = y_image."""
-        powers_x: dict[int, BiPoly] = {0: BiPoly.one()}
-        powers_y: dict[int, BiPoly] = {0: BiPoly.one()}
-
-        def pw(cache, base, n):
-            if n not in cache:
-                cache[n] = pw(cache, base, n - 1) * base
-            return cache[n]
-
-        acc = BiPoly()
-        for (i, j), c in self._terms.items():
-            acc = acc + pw(powers_x, x_image, i) * pw(powers_y, y_image, j) * c
-        return acc
+        return _substitute(self, x_image, y_image)
 
     def monic(self) -> "BiPoly":
         """Divide by the graded-lex leading coefficient."""

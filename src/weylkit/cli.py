@@ -3,8 +3,10 @@
 Subcommands: eval, bracket, grade, leading, ntp, classify-omega, dc-check,
 aut apply.  Everything accepts --json; classify-omega and dc-check always
 emit JSON.  dc-check exits 0 for Generates, 2 for Inconclusive, 3 for
-NotAWeylPair and 4 for NoPartnerPossible; other commands exit 0 on
-success and 2 on bad input.
+NotAWeylPair and 4 for NoPartnerPossible; dc-check input that does not
+parse, z, w or --pre-word, gives the NotAWeylPair document with an
+"input error" reason and exit 3.  Other commands exit 0 on success and 2
+on bad input.
 
 JSON schema.  All rationals are strings in num or num/den form; nothing
 is ever a float.  An element (Weyl or polynomial) is a list of terms
@@ -222,8 +224,8 @@ _EXIT_BY_OUTCOME = {
 
 
 def _cmd_dc_check(args, out) -> int:
-    pre = parse_word(args.pre_word) if args.pre_word else ()
     try:
+        pre = parse_word(args.pre_word) if args.pre_word else ()
         z = parse_element(args.z, "weyl")
         w = parse_element(args.w, "weyl")
     except (ParseError, ResourceLimitError) as exc:

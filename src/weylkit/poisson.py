@@ -126,11 +126,6 @@ def lemma_fu_gv_check(f: BiPoly, g: BiPoly, d: DirectionLike) -> FuGvCheck:
 class PairKind(Enum):
     DEGREE_ZERO = "degree_zero"
     COMMON_POWER = "common_power"
-    # Retained for interface completeness: a pair of commuting monomials
-    # always lands in one of the two kinds above (shared ray when the
-    # weighted degrees vanish, shared base otherwise), so this tag is
-    # never produced by classify_commuting_pair.
-    MONOMIALS = "monomials"
 
 
 @dataclass(frozen=True)

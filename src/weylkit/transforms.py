@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, _poly_eval, _substitute
 from .errors import InvariantViolation, NotAWeylPairError, ParseError
 from .weyl import WeylElement, is_weyl_pair
 
@@ -93,32 +93,8 @@ WordToken = Union[AlgebraGen, PairSwap]
 Word = tuple[WordToken, ...]
 
 
-def _poly_eval(coeffs: Sequence[Fraction], base):
-    acc = type(base)()
-    power = type(base)({(0, 0): 1})
-    for c in coeffs:
-        acc = acc + power._scaled(c)
-        power = power * base
-    return acc
-
-
-def _weyl_images(gen: AlgebraGen) -> tuple[WeylElement, WeylElement]:
-    p, q = WeylElement.gen_p(), WeylElement.gen_q()
-    if isinstance(gen, Linear):
-        return p * gen.a + q * gen.b, p * gen.c + q * gen.d
-    if isinstance(gen, TriUpper):
-        return p + _poly_eval(gen.coeffs, q), q
-    if isinstance(gen, TriLower):
-        return p, q + _poly_eval(gen.coeffs, p)
-    if isinstance(gen, Scale):
-        return p * gen.lam, q * (1 / gen.lam)
-    if isinstance(gen, Rot90):
-        return q, -p
-    raise TypeError(f"not an algebra generator: {gen!r}")
-
-
-def _poly_images(gen: AlgebraGen) -> tuple[BiPoly, BiPoly]:
-    x, y = BiPoly.var_x(), BiPoly.var_y()
+def _images(gen: AlgebraGen, x, y):
+    """Images under gen of the generator pair (x, y): (p, q) or (X, Y)."""
     if isinstance(gen, Linear):
         return x * gen.a + y * gen.b, x * gen.c + y * gen.d
     if isinstance(gen, TriUpper):
@@ -133,19 +109,7 @@ def _poly_images(gen: AlgebraGen) -> tuple[BiPoly, BiPoly]:
 
 
 def _apply_gen_weyl(gen: AlgebraGen, z: WeylElement) -> WeylElement:
-    pi, qi = _weyl_images(gen)
-    acc = WeylElement()
-    powers_p: dict[int, WeylElement] = {0: WeylElement.one()}
-    powers_q: dict[int, WeylElement] = {0: WeylElement.one()}
-
-    def pw(cache, base, n):
-        if n not in cache:
-            cache[n] = pw(cache, base, n - 1) * base
-        return cache[n]
-
-    for (i, j), c in z.items():
-        acc = acc + (pw(powers_p, pi, i) * pw(powers_q, qi, j)) * c
-    return acc
+    return _substitute(z, *_images(gen, WeylElement.gen_p(), WeylElement.gen_q()))
 
 
 def apply_aut(word: Sequence[WordToken], z: WeylElement) -> WeylElement:
@@ -161,8 +125,7 @@ def apply_poisson_aut(word: Sequence[WordToken], f: BiPoly) -> BiPoly:
     for gen in word:
         if isinstance(gen, PairSwap):
             raise ValueError("pair-level token cannot act on a single element")
-        xi, yi = _poly_images(gen)
-        f = f.substitute(xi, yi)
+        f = f.substitute(*_images(gen, BiPoly.var_x(), BiPoly.var_y()))
     return f
 
 
@@ -187,7 +150,7 @@ def apply_to_poly_pair(word: Sequence[WordToken],
         if isinstance(gen, PairSwap):
             f, g = g, -f
         else:
-            xi, yi = _poly_images(gen)
+            xi, yi = _images(gen, BiPoly.var_x(), BiPoly.var_y())
             f, g = f.substitute(xi, yi), g.substitute(xi, yi)
     return f, g
 
@@ -198,7 +161,7 @@ def jacobian_det(word: Sequence[WordToken]) -> Fraction:
     for gen in word:
         if isinstance(gen, PairSwap):
             raise ValueError("pair-level token has no polynomial map")
-        xi, yi = _poly_images(gen)
+        xi, yi = _images(gen, BiPoly.var_x(), BiPoly.var_y())
         u, v = u.substitute(xi, yi), v.substitute(xi, yi)
     det = u.partial_x() * v.partial_y() - u.partial_y() * v.partial_x()
     if not det.is_constant():

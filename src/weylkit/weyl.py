@@ -37,6 +37,7 @@ from .bipoly import (
     DirectionLike,
     _SparseTerms,
     _format_terms,
+    _poly_eval,
     _product,
     as_direction,
     leading_form,
@@ -247,17 +248,8 @@ def shift_identity_check(coeffs: Sequence[Union[int, Fraction]], k: int) -> bool
         raise ValueError("shift must be nonnegative")
     pq = WeylElement({(1, 1): 1})
     qk = WeylElement({(0, k): 1})
-
-    def eval_at(base: WeylElement) -> WeylElement:
-        acc = WeylElement()
-        power = WeylElement.one()
-        for c in coeffs:
-            acc = acc + power._scaled(Fraction(c))
-            power = power * base
-        return acc
-
-    lhs = qk * eval_at(pq)
-    rhs = eval_at(pq - WeylElement.constant(k)) * qk
+    lhs = qk * _poly_eval(coeffs, pq)
+    rhs = _poly_eval(coeffs, pq - WeylElement.constant(k)) * qk
     return lhs == rhs
 
 

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from weylkit import analysis
 from weylkit.analysis import (
     Certificate,
     OmegaCase,
@@ -23,7 +24,7 @@ from weylkit.analysis import (
     replay_certificate,
 )
 from weylkit.bipoly import BiPoly
-from weylkit.errors import ReplayError
+from weylkit.errors import NotAWeylPairError, ReplayError
 from weylkit.transforms import (
     PairSwap,
     Rot90,
@@ -32,7 +33,7 @@ from weylkit.transforms import (
     apply_to_pair,
     apply_to_poly_pair,
 )
-from weylkit.weyl import WeylElement, weyl_mul
+from weylkit.weyl import WeylElement, is_weyl_pair, weyl_mul
 
 import gen
 
@@ -228,6 +229,14 @@ def test_criterion_cf_kf():
     replay_certificate(cert, z, w)
 
 
+def test_criteria_reject_non_pairs():
+    for criterion in (criterion_homogeneous, criterion_v01, criterion_grading,
+                      criterion_D_ge_minus1, criterion_two_homogeneous, criterion_support,
+                      criterion_leading_bracket, criterion_cf_kf):
+        with pytest.raises(NotAWeylPairError):
+            criterion(2 * P, Q)
+
+
 # ----------------------------------------------------------- replaying
 
 
@@ -246,6 +255,12 @@ def test_replay_rejects_tampered_certificates():
         replay_certificate(replace(cert, final_pair=(P, Q)), z, w)
     with pytest.raises(ReplayError):
         replay_certificate(cert, z, w + WeylElement.one())
+    zero_slope = {**cert.normal_form, "alpha": 0}
+    with pytest.raises(ReplayError):
+        replay_certificate(replace(cert, normal_form=zero_slope), z, w)
+    missing = {k: v for k, v in cert.normal_form.items() if k != "gamma"}
+    with pytest.raises(ReplayError):
+        replay_certificate(replace(cert, normal_form=missing), z, w)
 
 
 # ------------------------------------------------------------ dc_check
@@ -266,6 +281,20 @@ def test_dc_check_no_partner_for_diagonal_roof():
     assert rep.attempts == ()
     rep = dc_check(Q, weyl_mul(P, Q) + Q)
     assert rep.outcome is Outcome.NO_PARTNER_POSSIBLE
+
+
+def test_dc_check_checks_the_pair_once(monkeypatch):
+    calls = []
+
+    def counting(z, w):
+        calls.append((z, w))
+        return is_weyl_pair(z, w)
+
+    monkeypatch.setattr(analysis, "is_weyl_pair", counting)
+    rep = dc_check(Q, -P + Q ** 5)
+    assert rep.certificate.criterion == "homogeneous"
+    assert rep.certificate.trace == ()
+    assert calls == [(Q, -P + Q ** 5)]
 
 
 def test_dc_check_rejects_non_pairs():

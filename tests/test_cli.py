@@ -113,10 +113,14 @@ def test_dc_check_exit_codes(capsys):
 
 
 def test_dc_check_parse_error_is_not_a_pair(capsys):
-    code, out, _ = run(capsys, "dc-check", "p +", "q")
-    assert code == 3
-    doc = json.loads(out)
-    assert doc["outcome"] == "NotAWeylPair"
+    for argv in (("p +", "q"),
+                 ("p", "q", "--pre-word", "bogus"),
+                 ("p", "q", "--pre-word", "triu:[0,1")):
+        code, out, err = run(capsys, "dc-check", *argv)
+        assert (code, err) == (3, "")
+        doc = json.loads(out)
+        assert doc["outcome"] == "NotAWeylPair"
+        assert doc["reason"].startswith("input error:")
 
 
 def test_dc_check_pre_word(capsys):
