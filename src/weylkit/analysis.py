@@ -15,6 +15,13 @@ from one by a polynomial in z, so its commutator is still 1.
 replay_certificate keeps its check after every reduction step, and
 apply_to_pair its checks around every word: they verify certificates
 and automorphisms on their own, without trusting the code that made them.
+
+Every ReduceStep comes from one loop, _strip, which subtracts forced
+multiples of powers of z from the partner along a direction; the v01,
+D_ge_minus1 and cf_kf reductions differ only in what they do with the
+partner it leaves.  replay_certificate redoes each subtraction itself
+instead of calling _strip, so a fault in the loop cannot vouch for its
+own output.
 """
 
 from __future__ import annotations
@@ -377,6 +384,8 @@ def _reconstruct_final(shape: str, nf: Mapping[str, object]) -> tuple[WeylElemen
         raise ReplayError(f"normal form lacks the entry {exc}") from None
     except ZeroDivisionError:
         raise ReplayError("normal form has a zero slope") from None
+    except (TypeError, ValueError) as exc:
+        raise ReplayError(f"normal form has a malformed entry: {exc}") from None
     return zf, wf
 
 
@@ -431,6 +440,34 @@ def _either_side(one_sided: Callable[..., Optional[Certificate]],
         if cert is not None:
             return replace(cert, trace=(_SWAP_STEP,) + cert.trace) if pre else cert
     return None
+
+
+def _strip(z: WeylElement, w: WeylElement,
+           d: Direction) -> tuple[list[TraceStep], WeylElement]:
+    """Strip the forced powers of z from the partner w along d.
+
+    The d-degree a of z must be positive.  While the d-degree b of w is
+    positive, a divides b and the top of w is beta times the top of
+    z**(b // a) (beta the ratio of their graded-lex leading coefficients),
+    the match is recorded as a ReduceStep and subtracted, which strictly
+    lowers b.  Returns the steps and the partner left when a test fails.
+    """
+    a = v_deg_weyl(z, d)
+    steps: list[TraceStep] = []
+    while True:
+        b = v_deg_weyl(w, d)
+        if b <= 0 or b % a:
+            return steps, w
+        e = b // a
+        z_pow = z**e
+        top_w, top_z = leading_form_weyl(w, d), leading_form_weyl(z_pow, d)
+        beta = top_w.glex_lead()[1] / top_z.glex_lead()[1]
+        if top_w != beta * top_z:
+            return steps, w
+        steps.append(ReduceStep(d, b, beta, e))
+        w = w - beta * z_pow
+        if v_deg_weyl(w, d) >= b:
+            raise InvariantViolation("reduction failed to lower the direction-degree")
 
 
 # ---------------------------------------------------------------------------
@@ -504,26 +541,11 @@ def _v01(z: WeylElement, w: WeylElement) -> Optional[Certificate]:
 
 
 def _v01_line(z: WeylElement, w: WeylElement) -> Certificate:
+    steps, cur_w = _strip(z, w, Direction(0, 1))
+    if v_deg_weyl(cur_w, (0, 1)) > 0:
+        raise InvariantViolation("top layer of the partner must be a power of the top layer")
+    h = {step.exponent: step.coefficient for step in steps}
     f_poly = _layer(z, 1)
-    steps: list[TraceStep] = []
-    h: dict[int, Fraction] = {}
-    cur_w = w
-    while True:
-        j = v_deg_weyl(cur_w, (0, 1))
-        if j <= 0:
-            break
-        g_tilde = _layer(cur_w, j)
-        fj = f_poly**j
-        _, cf = fj.glex_lead()
-        _, cg = g_tilde.glex_lead()
-        mu = cg / cf
-        if g_tilde != mu * fj:
-            raise InvariantViolation("top layer of the partner must be a power of the top layer")
-        steps.append(ReduceStep(Direction(0, 1), j, mu, j))
-        h[j] = mu
-        cur_w = cur_w - mu * z**j
-        if v_deg_weyl(cur_w, (0, 1)) >= j:
-            raise InvariantViolation("reduction failed to lower the Y-degree")
     l = _coeffs(phi(cur_w), 0)
     f_coeffs = _coeffs(f_poly, 0)
     if len(f_coeffs) != 1:
@@ -620,37 +642,18 @@ def _D_ge_minus1(z: WeylElement, w: WeylElement, *,
             raise InvariantViolation("an upper-half entry must satisfy the grading criterion")
         return _chain("D_ge_minus1", (), sub, {"s": 0})
     s = -low
-    z_low = WeylElement({e: c for e, c in z.items() if grade(e) == low})
     if s > 1:
         if not assume_centralizer_cyclic:
             return None
+        z_low = WeylElement({e: c for e, c in z.items() if grade(e) == low})
         if centralizer_counterexamples(z_low, max_exp=6):
             return None
-    steps: list[TraceStep] = []
-    cur_w = w
-    while True:
-        w_low_level = min(grade(e) for e in cur_w.support())
-        if w_low_level >= 0:
-            break
-        k = -w_low_level
-        if k % s != 0:
-            if s == 1:
-                raise InvariantViolation("negative level must be a multiple of the entry level")
-            return None
-        d = k // s
-        target = WeylElement({e: c for e, c in cur_w.items() if grade(e) == w_low_level})
-        zpow = z_low**d
-        e0, c0 = zpow.glex_lead()
-        alpha = target.coeff(*e0) / c0
-        if target != alpha * zpow:
-            if s == 1:
-                raise InvariantViolation(
-                    "lowest level of the partner must be a power of the entry level")
-            return None
-        steps.append(ReduceStep(Direction(1, -1), k, alpha, d))
-        cur_w = cur_w - alpha * z**d
-        if cur_w.is_zero() or min(grade(e) for e in cur_w.support()) <= w_low_level:
-            raise InvariantViolation("reduction failed to raise the lowest level")
+    steps, cur_w = _strip(z, w, Direction(1, -1))
+    if v_deg_weyl(cur_w, (1, -1)) > 0:
+        if s == 1:
+            raise InvariantViolation(
+                "lowest level of the partner must be a power of the entry level")
+        return None
     sub = _either_side(_grading, z, cur_w)
     if sub is None:
         raise InvariantViolation("stripped partner must satisfy the grading criterion")
@@ -750,12 +753,13 @@ def _reduce_low_degree(z: WeylElement, w: WeylElement, d: Direction) -> Certific
 
 
 def _cf_kf_along(z: WeylElement, w: WeylElement, d: Direction) -> Certificate:
-    """Run the three-step reduction loop along a fixed direction.
+    """Reduce the partner along a fixed direction, then close out.
 
     The direction must expose a leading form of z that is not a proper
-    power.  Each pass either closes out (partner degree nonpositive, or
-    unit bracket of leading forms) or strips the forced power of z from
-    the partner, strictly lowering its direction-degree.
+    power.  _strip removes the forced powers of z from the partner; the
+    partner it leaves either has direction-degree at most 0, closed out
+    by the low-degree reduction, or a leading form whose bracket with
+    that of z is 1, resolved through the canonical cases.
     """
     a = v_deg_weyl(z, d)
     if a <= 0:
@@ -765,33 +769,16 @@ def _cf_kf_along(z: WeylElement, w: WeylElement, d: Direction) -> Certificate:
     _, m = centralizer_generator(f, d)
     if m != 1:
         raise InvariantViolation("direction does not expose a primitive leading form")
-    steps: list[TraceStep] = []
-    cur_w = w
-    while True:
-        b = v_deg_weyl(cur_w, d)
-        if b <= 0:
-            sub = _reduce_low_degree(z, cur_w, d)
-            return _chain("cf_kf", steps, sub, {"direction": d.as_tuple()})
-        g = leading_form_weyl(cur_w, d)
-        br = poisson_bracket(f, g)
-        if br == BiPoly.one():
-            sub = _omega_resolution(z, cur_w, d, f, g)
-            return _chain("cf_kf", steps, sub)
-        if not br.is_zero():
-            raise InvariantViolation("leading-form bracket of a pair must be 0 or 1")
-        if b % a != 0:
-            raise InvariantViolation("commuting leading forms force a divisible degree")
-        b0 = b // a
-        fpow = f**b0
-        _, cf = fpow.glex_lead()
-        _, cg = g.glex_lead()
-        beta = cg / cf
-        if g != beta * fpow:
-            raise InvariantViolation("commuting leading form must be a scaled power")
-        steps.append(ReduceStep(d, b, beta, b0))
-        cur_w = cur_w - beta * z**b0
-        if v_deg_weyl(cur_w, d) >= b:
-            raise InvariantViolation("reduction failed to lower the direction-degree")
+    steps, cur_w = _strip(z, w, d)
+    if v_deg_weyl(cur_w, d) <= 0:
+        sub = _reduce_low_degree(z, cur_w, d)
+        return _chain("cf_kf", steps, sub, {"direction": d.as_tuple()})
+    g = leading_form_weyl(cur_w, d)
+    if poisson_bracket(f, g) != BiPoly.one():
+        raise InvariantViolation(
+            "leading form of the partner must be a scaled power or have bracket 1")
+    sub = _omega_resolution(z, cur_w, d, f, g)
+    return _chain("cf_kf", steps, sub)
 
 
 def criterion_cf_kf(z: WeylElement, w: WeylElement) -> Optional[Certificate]:

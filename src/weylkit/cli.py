@@ -332,7 +332,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, ResourceLimitError, NotAWeylPairError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,11 +12,14 @@ grammar is
 with juxtaposition meaning multiplication.  Exponents are capped by the
 WEYL_MAX_DEGREE environment variable (default 64); so is the largest
 exponent of any intermediate value, which turns runaway products into an
-explicit resource error instead of a memory blowup.
+explicit resource error instead of a memory blowup.  Parentheses nest at
+most 100 deep (deeper input is a resource error too), and evaluation walks
+the tree without recursion, so no input exhausts the interpreter stack.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +33,7 @@ __all__ = ["Expr", "Num", "Sym", "Add", "Sub", "Mul", "Pow", "Neg",
            "parse", "evaluate", "parse_element", "weyl_max_degree"]
 
 _MODE_SYMBOLS = {"weyl": ("p", "q"), "poly": ("X", "Y")}
+_MAX_NESTING = 100
 
 
 def weyl_max_degree() -> int:
@@ -135,6 +139,7 @@ class _Parser:
             raise ValueError(f"unknown mode {mode!r}")
         self.tokens = _lex(text)
         self.pos = 0
+        self.depth = 0
         self.mode = mode
         self.cap = weyl_max_degree()
 
@@ -196,7 +201,10 @@ class _Parser:
     def atom(self) -> Expr:
         tok = self.take()
         if tok.kind == "number":
-            return Num(Fraction(tok.text))
+            try:
+                return Num(Fraction(tok.text))
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", tok.position) from None
         if tok.kind == "symbol":
             allowed = _MODE_SYMBOLS[self.mode]
             if tok.text not in allowed:
@@ -209,7 +217,12 @@ class _Parser:
                     f"use {allowed[0]}, {allowed[1]}{hint}", tok.position)
             return Sym(tok.text)
         if tok.kind == "(":
+            if self.depth == _MAX_NESTING:
+                raise ResourceLimitError(f"parentheses nested deeper than {_MAX_NESTING} "
+                                         f"(at position {tok.position})")
+            self.depth += 1
             node = self.expr()
+            self.depth -= 1
             closer = self.take()
             if closer.kind != ")":
                 raise ParseError("expected ')'", closer.position)
@@ -250,24 +263,40 @@ def evaluate(node: Expr, mode: str):
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    def walk(n: Expr):
+    # Post-order walk on an explicit stack: a long sum or product is a deep
+    # left-leaning tree.  Left operands are evaluated before right ones.
+    todo: list[tuple[Expr, bool]] = [(node, False)]
+    values: list = []
+    while todo:
+        n, expanded = todo.pop()
         if isinstance(n, Num):
-            return const(n.value)
-        if isinstance(n, Sym):
-            return sym[n.name]
-        if isinstance(n, Add):
-            return _check_cap(walk(n.left) + walk(n.right), cap)
-        if isinstance(n, Sub):
-            return _check_cap(walk(n.left) - walk(n.right), cap)
-        if isinstance(n, Mul):
-            return _check_cap(walk(n.left) * walk(n.right), cap)
-        if isinstance(n, Pow):
-            return _check_cap(walk(n.base) ** n.exponent, cap)
-        if isinstance(n, Neg):
-            return -walk(n.operand)
-        raise TypeError(f"not an expression node: {n!r}")
+            values.append(const(n.value))
+        elif isinstance(n, Sym):
+            values.append(sym[n.name])
+        elif not expanded:
+            todo.append((n, True))
+            todo.extend((child, False) for child in reversed(_children(n)))
+        elif isinstance(n, Neg):
+            values.append(-values.pop())
+        elif isinstance(n, Pow):
+            values.append(_check_cap(values.pop() ** n.exponent, cap))
+        else:
+            right = values.pop()
+            values.append(_check_cap(_BINARY[type(n)](values.pop(), right), cap))
+    return values.pop()
 
-    return walk(node)
+
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def _children(n: Expr) -> tuple[Expr, ...]:
+    if isinstance(n, (Add, Sub, Mul)):
+        return (n.left, n.right)
+    if isinstance(n, Pow):
+        return (n.base,)
+    if isinstance(n, Neg):
+        return (n.operand,)
+    raise TypeError(f"not an expression node: {n!r}")
 
 
 def parse_element(text: str, mode: str):

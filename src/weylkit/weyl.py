@@ -95,8 +95,12 @@ class WeylElement(_SparseTerms):
 
 
 def phi(z: WeylElement) -> BiPoly:
-    """Basis identification sending p^i q^j to X^i Y^j."""
-    return BiPoly(dict(z.items()))
+    """Basis identification sending p^i q^j to X^i Y^j.
+
+    Both sides are immutable and z's term map is already canonical, so the
+    image shares it instead of re-checking a copy.
+    """
+    return BiPoly._from_canonical(z._terms)
 
 
 def phi_inv(f: BiPoly) -> WeylElement:

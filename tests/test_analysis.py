@@ -209,6 +209,18 @@ def test_criterion_support():
     replay_certificate(cert, P + Q, Q)
 
 
+def test_strip_then_unit_bracket_resolves_through_omega():
+    z, w = P + Q ** 2, Q + P + Q ** 2
+    cert = criterion_support(z, w)
+    assert cert is not None
+    assert cert.normal_form["route"] == ("support", "cf_kf", "omega", "v01")
+    first, word, last = cert.trace
+    assert (first.direction.as_tuple(), first.degree, first.exponent) == ((2, 1), 2, 1)
+    assert isinstance(word, WordStep)
+    assert (last.direction.as_tuple(), last.degree, last.exponent) == ((0, 1), 2, 2)
+    replay_certificate(cert, z, w)
+
+
 def test_criterion_leading_bracket():
     cert = criterion_leading_bracket(Q, -P + Q ** 5)
     assert cert is not None
@@ -261,6 +273,10 @@ def test_replay_rejects_tampered_certificates():
     missing = {k: v for k, v in cert.normal_form.items() if k != "gamma"}
     with pytest.raises(ReplayError):
         replay_certificate(replace(cert, normal_form=missing), z, w)
+    for key, value in (("alpha", "x"), ("g", 5), ("g", ("a",))):
+        malformed = {**cert.normal_form, key: value}
+        with pytest.raises(ReplayError):
+            replay_certificate(replace(cert, normal_form=malformed), z, w)
 
 
 # ------------------------------------------------------------ dc_check

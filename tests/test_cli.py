@@ -79,6 +79,14 @@ def test_ntp_svg_file(capsys, tmp_path):
     assert text.endswith("\n")
 
 
+def test_ntp_svg_unwritable_path_is_an_error(capsys, tmp_path):
+    target = tmp_path / "missing-dir" / "fig.svg"
+    code, _, err = run(capsys, "ntp", "p + q", "--svg", str(target))
+    assert code == 2
+    assert err.startswith("error:")
+    assert not target.exists()
+
+
 def test_classify_omega_json(capsys):
     code, out, _ = run(capsys, "classify-omega", "X + 2 Y^3", "Y")
     assert code == 0
@@ -112,10 +120,22 @@ def test_dc_check_exit_codes(capsys):
     assert json.loads(out)["outcome"] == "NoPartnerPossible"
 
 
+# Each must end in a parse or resource error, never in a traceback.
+_BAD_EXPRESSIONS = ("1/0 p", "(" * 1000 + "p" + ")" * 1000, " ".join(["p"] * 3000))
+
+
+def test_eval_bad_expression_exits_2(capsys):
+    for expr in _BAD_EXPRESSIONS:
+        code, out, err = run(capsys, "eval", expr)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+
 def test_dc_check_parse_error_is_not_a_pair(capsys):
     for argv in (("p +", "q"),
                  ("p", "q", "--pre-word", "bogus"),
-                 ("p", "q", "--pre-word", "triu:[0,1")):
+                 ("p", "q", "--pre-word", "triu:[0,1"),
+                 *((expr, "q") for expr in _BAD_EXPRESSIONS)):
         code, out, err = run(capsys, "dc-check", *argv)
         assert (code, err) == (3, "")
         doc = json.loads(out)

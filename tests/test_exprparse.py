@@ -53,6 +53,23 @@ def test_syntax_errors_carry_positions():
         parse_element("p ^ q", "weyl")
     with pytest.raises(ParseError):
         parse_element("(p", "weyl")
+    with pytest.raises(ParseError, match="zero denominator .at position 0"):
+        parse_element("1/0 p", "weyl")
+
+
+def test_deep_input_is_bounded_not_recursive():
+    nested = "(" * 100 + "p" + ")" * 100
+    assert parse_element(nested, "weyl") == P
+    with pytest.raises(ResourceLimitError, match="nested"):
+        parse_element("(" + nested + ")", "weyl")
+    with pytest.raises(ResourceLimitError, match="nested"):
+        parse_element("(" * 1000 + "p" + ")" * 1000, "weyl")
+    assert parse_element(" + ".join(["p"] * 3000), "weyl") == 3000 * P
+    assert parse_element(" + ".join(["X Y"] * 3000), "poly") == 3000 * X * Y
+    with pytest.raises(ResourceLimitError, match="WEYL_MAX_DEGREE"):
+        parse_element(" ".join(["p"] * 3000), "weyl")
+    with pytest.raises(ResourceLimitError, match="WEYL_MAX_DEGREE"):
+        parse_element("*".join(["q"] * 3000), "weyl")
 
 
 def test_degree_cap(monkeypatch):
