@@ -1,11 +1,13 @@
-"""Sparse bivariate polynomials over Q with direction-graded tools.
+"""Sparse bivariate elements over Q with direction-graded tools.
 
-A polynomial is stored as a map from exponent pairs (i, j) to nonzero
-Fraction coefficients, meaning sum of c * X^i * Y^j.  All arithmetic is
-exact.  On top of the ring structure this module provides the weighted
-degree, leading form and homogeneous decomposition for an integer
-direction (rho, sigma), plus exact m-th roots and the maximal power
-decomposition f = lam * h^m used by the centralizer machinery.
+An element is stored as a map from exponent pairs (i, j) to nonzero
+Fraction coefficients; all arithmetic is exact.  One element class serves
+both algebras, Q[X, Y] (BiPoly) and the Weyl algebra on the basis p^i q^j
+(weyl.WeylElement), which differ only in the product rule that the
+integer kernel below runs.  On top of the ring structure this module
+provides the weighted degree, leading form and homogeneous decomposition
+for an integer direction (rho, sigma), plus exact m-th roots and the
+maximal power decomposition f = lam * h^m used by the centralizer machinery.
 """
 
 from __future__ import annotations
@@ -32,34 +34,12 @@ def _glex_key(e: Exponent) -> tuple[int, int]:
     return (e[0] + e[1], e[0])
 
 
-def _format_terms(terms: Mapping[Exponent, Fraction], sym1: str, sym2: str) -> str:
-    """Render a term map deterministically; round-trips through the parser."""
-    if not terms:
-        return "0"
-    parts: list[str] = []
-    for (i, j) in sorted(terms, key=_glex_key, reverse=True):
-        c = terms[(i, j)]
-        mono = []
-        if i:
-            mono.append(sym1 if i == 1 else f"{sym1}^{i}")
-        if j:
-            mono.append(sym2 if j == 1 else f"{sym2}^{j}")
-        mag = abs(c)
-        if mono and mag == 1:
-            body = " ".join(mono)
-        elif mono:
-            body = " ".join([str(mag)] + mono)
-        else:
-            body = str(mag)
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
-
-
 class _SparseTerms:
-    """Shared storage and additive structure for exponent->coefficient maps.
+    """The element class of both algebras: an exponent->coefficient map.
+
+    A subclass sets two class attributes and nothing else is per algebra:
+    _RULE, the product rule the kernel runs (_TIMES or _WEYL), and
+    _SYMBOLS, the two generator names used for printing and parsing.
 
     Instances are treated as immutable after construction; the term map is
     canonical (no zero coefficients, exponents are nonnegative ints).
@@ -95,6 +75,26 @@ class _SparseTerms:
         obj._terms = terms
         obj._hash = None
         return obj
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls({(0, 0): 1})
+
+    @classmethod
+    def constant(cls, c: Scalar):
+        return cls({(0, 0): c})
+
+    @classmethod
+    def monomial(cls, i: int, j: int, c: Scalar = 1):
+        return cls({(i, j): c})
+
+    @classmethod
+    def _gens(cls):
+        return cls({(1, 0): 1}), cls({(0, 1): 1})
 
     # -- queries ---------------------------------------------------------
 
@@ -148,6 +148,36 @@ class _SparseTerms:
             self._hash = hash((type(self).__name__, frozenset(self._terms.items())))
         return self._hash
 
+    def __str__(self) -> str:
+        """Render the terms deterministically; round-trips through the parser."""
+        terms = self._terms
+        if not terms:
+            return "0"
+        sym1, sym2 = self._SYMBOLS
+        parts: list[str] = []
+        for (i, j) in sorted(terms, key=_glex_key, reverse=True):
+            c = terms[(i, j)]
+            mono = []
+            if i:
+                mono.append(sym1 if i == 1 else f"{sym1}^{i}")
+            if j:
+                mono.append(sym2 if j == 1 else f"{sym2}^{j}")
+            mag = abs(c)
+            if mono and mag == 1:
+                body = " ".join(mono)
+            elif mono:
+                body = " ".join([str(mag)] + mono)
+            else:
+                body = str(mag)
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
     # -- ring structure shared by both algebras --------------------------
 
     def _add_terms(self, other: "_SparseTerms", sign: int) -> dict[Exponent, Fraction]:
@@ -188,18 +218,37 @@ class _SparseTerms:
         if isinstance(other, type(self)):
             return other
         if isinstance(other, (int, Fraction)):
-            return type(self)({(0, 0): other})
+            return self.constant(other)
         return NotImplemented
 
     def _scaled(self, c: Fraction):
         if not c:
-            return type(self)()
+            return self.zero()
         return type(self)({e: c * v for e, v in self._terms.items()})
+
+    def __mul__(self, other):
+        """Exact product under the class's rule; scalars scale.
+
+        Both operands' denominators are cleared once and the product runs
+        in Python ints: Kronecker packing when the term pairs are more than
+        twice the packed slot count, an integer schoolbook loop otherwise.
+        Each output coefficient is built as a single Fraction.
+        """
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(_fr(other))
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._from_canonical(_product(self._terms, other._terms, self._RULE))
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(_fr(other))
+        return NotImplemented
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = type(self)({(0, 0): 1})
+        result = self.one()
         base = self
         while n:
             if n & 1:
@@ -208,6 +257,26 @@ class _SparseTerms:
             if n:
                 base = base * base
         return result
+
+    def substitute(self, x_image: "_SparseTerms", y_image: "_SparseTerms"):
+        """Sum of c * x_image^i * y_image^j over the terms c (i, j) of self.
+
+        x_image and y_image belong to one algebra, commutative or not, which
+        need not be the algebra of self; the result is in theirs.  Each of
+        their powers is formed once, from the power before it.
+        """
+        one = x_image.one()
+        powers_x, powers_y = [one], [one]
+
+        def power(cache, base, n):
+            while len(cache) <= n:
+                cache.append(cache[-1] * base)
+            return cache[n]
+
+        acc = x_image.zero()
+        for (i, j), c in self._terms.items():
+            acc = acc + power(powers_x, x_image, i) * power(powers_y, y_image, j) * c
+        return acc
 
 
 # -- the exact product kernel --------------------------------------------
@@ -388,30 +457,10 @@ def _factors(a: list, b: list, w: int, rule: str) -> list[tuple[int, list, list]
     return out
 
 
-def _substitute(f: _SparseTerms, x_image: _SparseTerms, y_image: _SparseTerms):
-    """Sum of c * x_image^i * y_image^j over the terms c (i, j) of f.
-
-    x_image and y_image belong to one algebra, commutative or not, and each
-    of their powers is formed once, from the power before it.
-    """
-    one = type(x_image)({(0, 0): 1})
-    powers_x, powers_y = [one], [one]
-
-    def power(cache, base, n):
-        while len(cache) <= n:
-            cache.append(cache[-1] * base)
-        return cache[n]
-
-    acc = type(x_image)()
-    for (i, j), c in f.items():
-        acc = acc + power(powers_x, x_image, i) * power(powers_y, y_image, j) * c
-    return acc
-
-
 def _poly_eval(coeffs: Iterable[Scalar], base: _SparseTerms):
     """Sum of c_k * base^k over coeffs, listed from the constant term up."""
-    acc = type(base)()
-    power = type(base)({(0, 0): 1})
+    acc = base.zero()
+    power = base.one()
     for c in coeffs:
         acc = acc + power._scaled(_fr(c))
         power = power * base
@@ -421,55 +470,14 @@ def _poly_eval(coeffs: Iterable[Scalar], base: _SparseTerms):
 class BiPoly(_SparseTerms):
     """Element of Q[X, Y] with commutative multiplication."""
 
-    def __mul__(self, other):
-        """Exact commutative product.
-
-        Both operands' denominators are cleared once and the product runs
-        in Python ints: Kronecker packing when the term pairs are more than
-        twice the packed slot count, an integer schoolbook loop otherwise.
-        Each output coefficient is built as a single Fraction.
-        """
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(_fr(other))
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return BiPoly._from_canonical(_product(self._terms, other._terms, _TIMES))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(_fr(other))
-        return NotImplemented
+    _RULE = _TIMES
+    _SYMBOLS = ("X", "Y")
 
     def partial_x(self) -> "BiPoly":
         return BiPoly({(i - 1, j): i * c for (i, j), c in self._terms.items() if i})
 
     def partial_y(self) -> "BiPoly":
         return BiPoly({(i, j - 1): j * c for (i, j), c in self._terms.items() if j})
-
-    def substitute(self, x_image: "BiPoly", y_image: "BiPoly") -> "BiPoly":
-        """Evaluate at X = x_image, Y = y_image."""
-        return _substitute(self, x_image, y_image)
-
-    def monic(self) -> "BiPoly":
-        """Divide by the graded-lex leading coefficient."""
-        _, c = self.glex_lead()
-        return self._scaled(1 / c)
-
-    @staticmethod
-    def zero() -> "BiPoly":
-        return BiPoly()
-
-    @staticmethod
-    def one() -> "BiPoly":
-        return BiPoly({(0, 0): 1})
-
-    @staticmethod
-    def constant(c: Scalar) -> "BiPoly":
-        return BiPoly({(0, 0): c})
-
-    @staticmethod
-    def monomial(i: int, j: int, c: Scalar = 1) -> "BiPoly":
-        return BiPoly({(i, j): c})
 
     @staticmethod
     def var_x() -> "BiPoly":
@@ -478,12 +486,6 @@ class BiPoly(_SparseTerms):
     @staticmethod
     def var_y() -> "BiPoly":
         return BiPoly({(0, 1): 1})
-
-    def __str__(self) -> str:
-        return _format_terms(self._terms, "X", "Y")
-
-    def __repr__(self) -> str:
-        return f"BiPoly({self})"
 
 
 @dataclass(frozen=True)
@@ -544,23 +546,24 @@ class HomogDecomp:
     """Homogeneous decomposition along a direction, degrees strictly decreasing."""
 
     direction: Direction
-    parts: tuple[tuple[int, BiPoly], ...]
+    parts: tuple[tuple[int, _SparseTerms], ...]
 
-    def total(self) -> BiPoly:
-        acc = BiPoly()
+    def total(self) -> _SparseTerms:
+        acc = self.parts[0][1].zero()
         for _, part in self.parts:
             acc = acc + part
         return acc
 
 
-def homog_decomp(f: BiPoly, d: DirectionLike) -> HomogDecomp:
+def homog_decomp(f: _SparseTerms, d: DirectionLike) -> HomogDecomp:
+    """Split f, of either algebra, by the d-degree of its terms; parts have f's class."""
     dd = as_direction(d)
     if f.is_zero():
         raise ValueError("homogeneous decomposition of the zero polynomial is undefined")
     buckets: dict[int, dict[Exponent, Fraction]] = {}
     for e, c in f.items():
         buckets.setdefault(dd.value(e), {})[e] = c
-    parts = tuple((tau, BiPoly(buckets[tau])) for tau in sorted(buckets, reverse=True))
+    parts = tuple((tau, f._from_canonical(buckets[tau])) for tau in sorted(buckets, reverse=True))
     return HomogDecomp(dd, parts)
 
 

@@ -42,7 +42,7 @@ from .exprparse import parse_element
 from .geometry import ntp, roof
 from .poisson import poisson_bracket
 from .svgplot import ntp_svg
-from .transforms import apply_aut, apply_poisson_aut, parse_word, word_to_string
+from .transforms import apply_aut, parse_word, word_to_string
 from .weyl import WeylElement, commutator, graded_decomp, leading_form_weyl
 from .bipoly import _glex_key  # shared term order for printing and JSON
 
@@ -240,11 +240,7 @@ def _cmd_dc_check(args, out) -> int:
 
 def _cmd_aut(args, out) -> int:
     word = parse_word(args.word)
-    el = parse_element(args.expr, args.mode)
-    if args.mode == "weyl":
-        result = apply_aut(word, el)
-    else:
-        result = apply_poisson_aut(word, el)
+    result = apply_aut(word, parse_element(args.expr, args.mode))
     if args.json:
         _emit({"mode": args.mode, "value": _terms_doc(result)}, out)
     else:

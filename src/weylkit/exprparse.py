@@ -15,6 +15,8 @@ exponent of any intermediate value, which turns runaway products into an
 explicit resource error instead of a memory blowup.  Parentheses nest at
 most 100 deep (deeper input is a resource error too), and evaluation walks
 the tree without recursion, so no input exhausts the interpreter stack.
+A number past the interpreter's integer-string digit limit is a parse
+error as a coefficient and a resource error as an exponent.
 """
 
 from __future__ import annotations
@@ -32,8 +34,14 @@ from .weyl import WeylElement
 __all__ = ["Expr", "Num", "Sym", "Add", "Sub", "Mul", "Pow", "Neg",
            "parse", "evaluate", "parse_element", "weyl_max_degree"]
 
-_MODE_SYMBOLS = {"weyl": ("p", "q"), "poly": ("X", "Y")}
+_ALGEBRAS = {"weyl": WeylElement, "poly": BiPoly}
 _MAX_NESTING = 100
+
+
+def _algebra(mode: str):
+    if mode not in _ALGEBRAS:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _ALGEBRAS[mode]
 
 
 def weyl_max_degree() -> int:
@@ -135,8 +143,7 @@ class _Parser:
     """Recursive-descent parser over the lexed token stream."""
 
     def __init__(self, text: str, mode: str):
-        if mode not in _MODE_SYMBOLS:
-            raise ValueError(f"unknown mode {mode!r}")
+        self.symbols = _algebra(mode)._SYMBOLS
         self.tokens = _lex(text)
         self.pos = 0
         self.depth = 0
@@ -191,7 +198,11 @@ class _Parser:
                 raise ParseError("exponent must be a natural number",
                                  exp.position if exp.kind != "end" else caret.position)
             self.take()
-            n = int(exp.text)
+            try:
+                n = int(exp.text)
+            except ValueError:  # past the interpreter's digit limit, so above any cap
+                raise ResourceLimitError(f"exponent exceeds WEYL_MAX_DEGREE={self.cap} "
+                                         f"(at position {exp.position})") from None
             if n > self.cap:
                 raise ResourceLimitError(
                     f"exponent {n} exceeds WEYL_MAX_DEGREE={self.cap}")
@@ -205,16 +216,15 @@ class _Parser:
                 return Num(Fraction(tok.text))
             except ZeroDivisionError:
                 raise ParseError("zero denominator", tok.position) from None
+            except ValueError:  # digits only: the interpreter's digit limit
+                raise ParseError("number has too many digits", tok.position) from None
         if tok.kind == "symbol":
-            allowed = _MODE_SYMBOLS[self.mode]
-            if tok.text not in allowed:
-                other = "poly" if self.mode == "weyl" else "weyl"
-                hint = ""
-                if tok.text in _MODE_SYMBOLS[other]:
-                    hint = f" (did you mean {other} mode?)"
+            if tok.text not in self.symbols:
+                hint = next((f" (did you mean {mode} mode?)" for mode, cls in _ALGEBRAS.items()
+                             if tok.text in cls._SYMBOLS), "")
                 raise ParseError(
                     f"symbol {tok.text!r} is not available in {self.mode} mode; "
-                    f"use {allowed[0]}, {allowed[1]}{hint}", tok.position)
+                    f"use {', '.join(self.symbols)}{hint}", tok.position)
             return Sym(tok.text)
         if tok.kind == "(":
             if self.depth == _MAX_NESTING:
@@ -251,17 +261,9 @@ def evaluate(node: Expr, mode: str):
 
     Weyl-mode products multiply noncommutatively in source order.
     """
+    cls = _algebra(mode)
     cap = weyl_max_degree()
-    if mode == "weyl":
-        one = WeylElement.one()
-        sym = {"p": WeylElement.gen_p(), "q": WeylElement.gen_q()}
-        const = WeylElement.constant
-    elif mode == "poly":
-        one = BiPoly.one()
-        sym = {"X": BiPoly.var_x(), "Y": BiPoly.var_y()}
-        const = BiPoly.constant
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    sym = dict(zip(cls._SYMBOLS, cls._gens()))
 
     # Post-order walk on an explicit stack: a long sum or product is a deep
     # left-leaning tree.  Left operands are evaluated before right ones.
@@ -270,7 +272,7 @@ def evaluate(node: Expr, mode: str):
     while todo:
         n, expanded = todo.pop()
         if isinstance(n, Num):
-            values.append(const(n.value))
+            values.append(cls.constant(n.value))
         elif isinstance(n, Sym):
             values.append(sym[n.name])
         elif not expanded:

@@ -89,12 +89,6 @@ class LatticePolygon:
     def is_empty(self) -> bool:
         return not self.vertices
 
-    def is_point(self) -> bool:
-        return len(self.vertices) == 1
-
-    def is_segment(self) -> bool:
-        return len(self.vertices) == 2
-
     def edges(self) -> tuple[tuple[Point, Point], ...]:
         vs = self.vertices
         if len(vs) < 2:

@@ -1,11 +1,11 @@
 """Generator words for the symplectic automorphisms used by the analyzer.
 
 A word is a sequence of generator tokens applied left to right.  Each
-generator acts on the operator algebra (images of p and q), on the
-commutative polynomial side (images of X and Y), and on candidate pairs;
-the pair-level token that swaps the two entries with a sign exists only
-at pair level.  Words are plain data so they can be recorded inside
-certificates and replayed exactly.
+generator is written once, as the images of an algebra's two generators,
+and acts on an element of either algebra (p, q or X, Y) by substituting
+them; pairs are acted on entry by entry, and the token that swaps the
+two entries with a sign exists only at pair level.  Words are plain data
+so they can be recorded inside certificates and replayed exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .bipoly import BiPoly, _poly_eval, _substitute
+from .bipoly import BiPoly, _poly_eval, _SparseTerms
 from .errors import InvariantViolation, NotAWeylPairError, ParseError
 from .weyl import WeylElement, is_weyl_pair
 
@@ -108,25 +108,26 @@ def _images(gen: AlgebraGen, x, y):
     raise TypeError(f"not an algebra generator: {gen!r}")
 
 
-def _apply_gen_weyl(gen: AlgebraGen, z: WeylElement) -> WeylElement:
-    return _substitute(z, *_images(gen, WeylElement.gen_p(), WeylElement.gen_q()))
+def _act(gen: AlgebraGen, el: _SparseTerms) -> _SparseTerms:
+    return el.substitute(*_images(gen, *type(el)._gens()))
 
 
-def apply_aut(word: Sequence[WordToken], z: WeylElement) -> WeylElement:
-    """Apply the algebra generators of a word, left to right."""
+def _act_word(word: Sequence[WordToken], el: _SparseTerms) -> _SparseTerms:
     for gen in word:
         if isinstance(gen, PairSwap):
             raise ValueError("pair-level token cannot act on a single element")
-        z = _apply_gen_weyl(gen, z)
-    return z
+        el = _act(gen, el)
+    return el
+
+
+def apply_aut(word: Sequence[WordToken], z: _SparseTerms) -> _SparseTerms:
+    """Apply a word's generators, left to right, to an element of either algebra."""
+    return _act_word(word, z)
 
 
 def apply_poisson_aut(word: Sequence[WordToken], f: BiPoly) -> BiPoly:
-    for gen in word:
-        if isinstance(gen, PairSwap):
-            raise ValueError("pair-level token cannot act on a single element")
-        f = f.substitute(*_images(gen, BiPoly.var_x(), BiPoly.var_y()))
-    return f
+    """The action on Q[X, Y]; apply_aut on a BiPoly, kept as its own name."""
+    return _act_word(word, f)
 
 
 def apply_to_pair(word: Sequence[WordToken],
@@ -134,11 +135,7 @@ def apply_to_pair(word: Sequence[WordToken],
     """Act on a Weyl pair; the pair property is required and re-asserted."""
     if not is_weyl_pair(z, w):
         raise NotAWeylPairError("input pair does not have commutator 1")
-    for gen in word:
-        if isinstance(gen, PairSwap):
-            z, w = w, -z
-        else:
-            z, w = _apply_gen_weyl(gen, z), _apply_gen_weyl(gen, w)
+    z, w = apply_to_poly_pair(word, z, w)
     if not is_weyl_pair(z, w):
         raise InvariantViolation("generator word failed to preserve the commutator")
     return z, w
@@ -146,23 +143,20 @@ def apply_to_pair(word: Sequence[WordToken],
 
 def apply_to_poly_pair(word: Sequence[WordToken],
                        f: BiPoly, g: BiPoly) -> tuple[BiPoly, BiPoly]:
+    """Act on a pair entry by entry; either algebra, and no pair property is checked."""
     for gen in word:
         if isinstance(gen, PairSwap):
             f, g = g, -f
         else:
-            xi, yi = _images(gen, BiPoly.var_x(), BiPoly.var_y())
-            f, g = f.substitute(xi, yi), g.substitute(xi, yi)
+            f, g = _act(gen, f), _act(gen, g)
     return f, g
 
 
 def jacobian_det(word: Sequence[WordToken]) -> Fraction:
     """Determinant of the composed polynomial map; constant by construction."""
-    u, v = BiPoly.var_x(), BiPoly.var_y()
-    for gen in word:
-        if isinstance(gen, PairSwap):
-            raise ValueError("pair-level token has no polynomial map")
-        xi, yi = _images(gen, BiPoly.var_x(), BiPoly.var_y())
-        u, v = u.substitute(xi, yi), v.substitute(xi, yi)
+    if any(isinstance(gen, PairSwap) for gen in word):
+        raise ValueError("pair-level token has no polynomial map")
+    u, v = apply_to_poly_pair(word, *BiPoly._gens())
     det = u.partial_x() * v.partial_y() - u.partial_y() * v.partial_x()
     if not det.is_constant():
         raise InvariantViolation("jacobian of a generator word must be constant")

@@ -12,7 +12,8 @@ which on basis monomials is the closed reordering sum
     p^s1 q^i1 * p^s2 q^i2
         = sum_j (-1)^j j! C(i1, j) C(s2, j) p^(s1+s2-j) q^(i1+i2-j)
 
-over 0 <= j <= min(i1, s2).  The product runs on the integer kernel in
+over 0 <= j <= min(i1, s2).  WeylElement is bipoly's element class with
+this product rule and the symbols p, q.  The product runs on the kernel in
 bipoly shared with the commutative side: each operand's denominators are
 cleared once, dense operands (term pairs more than twice the packed slot
 count) go through Kronecker packing with the j terms summed in one packed
@@ -36,10 +37,9 @@ from .bipoly import (
     Direction,
     DirectionLike,
     _SparseTerms,
-    _format_terms,
     _poly_eval,
-    _product,
     as_direction,
+    homog_decomp,
     leading_form,
     v_deg,
 )
@@ -51,29 +51,8 @@ from .poisson import poisson_bracket
 class WeylElement(_SparseTerms):
     """Element of the Weyl algebra in the normal-ordered basis p^i q^j."""
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(Fraction(other))
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return WeylElement._from_canonical(_product(self._terms, other._terms, _WEYL))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(Fraction(other))
-        return NotImplemented
-
-    @staticmethod
-    def zero() -> "WeylElement":
-        return WeylElement()
-
-    @staticmethod
-    def one() -> "WeylElement":
-        return WeylElement({(0, 0): 1})
-
-    @staticmethod
-    def constant(c) -> "WeylElement":
-        return WeylElement({(0, 0): c})
+    _RULE = _WEYL
+    _SYMBOLS = ("p", "q")
 
     @staticmethod
     def gen_p() -> "WeylElement":
@@ -82,16 +61,6 @@ class WeylElement(_SparseTerms):
     @staticmethod
     def gen_q() -> "WeylElement":
         return WeylElement({(0, 1): 1})
-
-    @staticmethod
-    def monomial(i: int, j: int, c=1) -> "WeylElement":
-        return WeylElement({(i, j): c})
-
-    def __str__(self) -> str:
-        return _format_terms(self._terms, "p", "q")
-
-    def __repr__(self) -> str:
-        return f"WeylElement({self})"
 
 
 def phi(z: WeylElement) -> BiPoly:
@@ -104,7 +73,8 @@ def phi(z: WeylElement) -> BiPoly:
 
 
 def phi_inv(f: BiPoly) -> WeylElement:
-    return WeylElement(dict(f.items()))
+    """Inverse of phi, sharing f's canonical term map in the same way."""
+    return WeylElement._from_canonical(f._terms)
 
 
 def weyl_mul(z: WeylElement, w: WeylElement) -> WeylElement:
@@ -126,30 +96,10 @@ class GradedDecomp:
 
     parts: tuple[tuple[int, WeylElement], ...]
 
-    def total(self) -> WeylElement:
-        acc = WeylElement()
-        for _, part in self.parts:
-            acc = acc + part
-        return acc
-
-    def component(self, k: int) -> WeylElement:
-        for g, part in self.parts:
-            if g == k:
-                return part
-        return WeylElement()
-
-    def grades(self) -> tuple[int, ...]:
-        return tuple(g for g, _ in self.parts)
-
 
 def graded_decomp(z: WeylElement) -> GradedDecomp:
     """Split z into its graded components, checked as ad(pq)-eigenvectors."""
-    if z.is_zero():
-        raise ValueError("graded decomposition of the zero element is undefined")
-    buckets: dict[int, dict[tuple[int, int], Fraction]] = {}
-    for e, c in z.items():
-        buckets.setdefault(grade(e), {})[e] = c
-    parts = tuple((g, WeylElement(buckets[g])) for g in sorted(buckets, reverse=True))
+    parts = homog_decomp(z, Direction(-1, 1)).parts  # the degree along (-1, 1) is grade
     pq = WeylElement({(1, 1): 1})
     for g, part in parts:
         if commutator(pq, part) != part._scaled(Fraction(g)):

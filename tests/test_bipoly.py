@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from random import Random
 
@@ -14,7 +15,7 @@ from weylkit.bipoly import (
     power_decomposition,
     v_deg,
 )
-from weylkit.weyl import WeylElement
+from weylkit.weyl import WeylElement, graded_decomp
 
 import gen
 
@@ -32,6 +33,19 @@ def test_constructor_canonicalizes():
         for bad in ((1.5, 0), (2.9, 1), (0, 2.0), (Fraction(1), 0), ("1", 0)):
             with pytest.raises(ValueError):
                 cls({bad: 3})
+
+
+def test_one_class_two_products_that_do_not_mix():
+    p = WeylElement.gen_p()
+    for a, b in ((X, p), (p, X)):
+        for op in (operator.mul, operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(a, b)
+    for cls, x in ((BiPoly, "X"), (WeylElement, "p")):
+        for el in (cls.zero(), cls.one(), cls.constant(2), cls.monomial(1, 0)):
+            assert type(el) is cls
+        assert repr(cls.monomial(1, 0)) == f"{cls.__name__}({x})"
+        assert repr(cls.monomial(1, 0, -2)) == f"{cls.__name__}(-2 {x})"
 
 
 def test_ring_arithmetic():
@@ -85,6 +99,16 @@ def test_homog_decomp_partitions_and_orders():
         assert dec.total() == f
         for k, part in dec.parts:
             assert is_homogeneous(part, d) == k
+
+
+def test_graded_decomp_is_homog_decomp_along_minus1_1():
+    rng = Random(102)
+    for _ in range(30):
+        z = gen.weyl_element(rng, nonzero=True)
+        dec = homog_decomp(z, (-1, 1))
+        assert dec.parts == graded_decomp(z).parts
+        assert all(type(part) is WeylElement for _, part in dec.parts)
+        assert dec.total() == z
 
 
 def test_is_homogeneous():

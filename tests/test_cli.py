@@ -120,8 +120,10 @@ def test_dc_check_exit_codes(capsys):
     assert json.loads(out)["outcome"] == "NoPartnerPossible"
 
 
-# Each must end in a parse or resource error, never in a traceback.
-_BAD_EXPRESSIONS = ("1/0 p", "(" * 1000 + "p" + ")" * 1000, " ".join(["p"] * 3000))
+# Each must end in a parse or resource error, never in a traceback.  The
+# last two hold numbers past the interpreter's 4,300-digit limit.
+_BAD_EXPRESSIONS = ("1/0 p", "(" * 1000 + "p" + ")" * 1000, " ".join(["p"] * 3000),
+                    "1" * 5000, "p^" + "1" * 5000)
 
 
 def test_eval_bad_expression_exits_2(capsys):

@@ -55,6 +55,9 @@ def test_syntax_errors_carry_positions():
         parse_element("(p", "weyl")
     with pytest.raises(ParseError, match="zero denominator .at position 0"):
         parse_element("1/0 p", "weyl")
+    # past the interpreter's 4,300-digit limit for int and Fraction
+    with pytest.raises(ParseError, match="too many digits .at position 2"):
+        parse_element("p " + "1" * 5000, "weyl")
 
 
 def test_deep_input_is_bounded_not_recursive():
@@ -79,6 +82,8 @@ def test_degree_cap(monkeypatch):
         parse_element("p^11", "weyl")
     with pytest.raises(ResourceLimitError):
         parse_element("p^6 * p^6", "weyl")
+    with pytest.raises(ResourceLimitError, match="WEYL_MAX_DEGREE=10 .at position 2"):
+        parse_element("p^" + "1" * 5000, "weyl")
     monkeypatch.delenv("WEYL_MAX_DEGREE")
     assert parse_element("p^11", "weyl") == P ** 11
 

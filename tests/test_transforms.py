@@ -64,6 +64,14 @@ def test_words_preserve_commutators():
         assert lhs == apply_aut(word, commutator(z, w))
 
 
+def test_apply_aut_acts_on_either_algebra():
+    rng = Random(1616)
+    for _ in range(25):
+        word = gen.algebra_word(rng)
+        f = gen.bipoly(rng)
+        assert apply_aut(word, f) == apply_poisson_aut(word, f)
+
+
 def test_jacobian_is_always_one():
     rng = Random(1616)
     for _ in range(25):
