@@ -32,7 +32,7 @@ from .analysis import (AttemptRecord, Certificate, DCReport, OmegaCase, OmegaCla
                        criterion_leading_bracket, criterion_support,
                        criterion_two_homogeneous, criterion_v01, dc_check,
                        omega_classify, replay_certificate)
-from .exprparse import evaluate, parse, parse_element
+from .exprparse import parse_element
 
 __version__ = "0.1.0"
 

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 from .analysis import (Certificate, DCReport, OmegaClass, ReduceStep, WordStep,
                        dc_check, omega_classify)
 from .bipoly import BiPoly, Direction
-from .errors import NotAWeylPairError, ParseError, ResourceLimitError, WeylkitError
+from .errors import NotAWeylPairError, ParseError, ResourceLimitError
 from .exprparse import parse_element
 from .geometry import ntp, roof
 from .poisson import poisson_bracket
@@ -325,10 +325,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args, sys.stdout)
-    except (ParseError, ResourceLimitError, NotAWeylPairError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ParseError, ResourceLimitError, NotAWeylPairError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

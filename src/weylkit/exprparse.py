@@ -9,39 +9,34 @@ grammar is
     term   := factor ('*'? factor)*
     atom   := rational | symbol | '(' expr ')'
 
-with juxtaposition meaning multiplication.  Exponents are capped by the
-WEYL_MAX_DEGREE environment variable (default 64); so is the largest
-exponent of any intermediate value, which turns runaway products into an
-explicit resource error instead of a memory blowup.  Parentheses nest at
-most 100 deep (deeper input is a resource error too), and evaluation walks
-the tree without recursion, so no input exhausts the interpreter stack.
-A number past the interpreter's integer-string digit limit is a parse
-error as a coefficient and a resource error as an exponent.
+with juxtaposition meaning multiplication.  Each production computes its
+value as the input is read, so there is no expression tree and no second
+pass; the first fault in reading order is the one reported.  Exponents
+are capped by the WEYL_MAX_DEGREE environment variable (default 64); so
+is the largest exponent of any intermediate value, checked before each
+product or power is formed (a sum never raises one), which turns runaway
+products into an explicit resource error instead of a memory blowup.  A
+long sum or product is a loop, and recursion happens only through
+parentheses, which nest at most 100 deep (deeper input is a resource
+error too), so no input exhausts the interpreter stack.  A number past
+the interpreter's integer-string digit limit is a parse error as a
+coefficient and a resource error as an exponent.
 """
 
 from __future__ import annotations
 
-import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .bipoly import BiPoly
 from .errors import ParseError, ResourceLimitError
 from .weyl import WeylElement
 
-__all__ = ["Expr", "Num", "Sym", "Add", "Sub", "Mul", "Pow", "Neg",
-           "parse", "evaluate", "parse_element", "weyl_max_degree"]
+__all__ = ["parse_element", "weyl_max_degree"]
 
 _ALGEBRAS = {"weyl": WeylElement, "poly": BiPoly}
 _MAX_NESTING = 100
-
-
-def _algebra(mode: str):
-    if mode not in _ALGEBRAS:
-        raise ValueError(f"unknown mode {mode!r}")
-    return _ALGEBRAS[mode]
 
 
 def weyl_max_degree() -> int:
@@ -53,48 +48,6 @@ def weyl_max_degree() -> int:
     if cap < 1:
         raise ResourceLimitError("WEYL_MAX_DEGREE must be positive")
     return cap
-
-
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Sym:
-    name: str
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-
-
-Expr = Union[Num, Sym, Add, Sub, Mul, Pow, Neg]
 
 
 @dataclass(frozen=True)
@@ -139,11 +92,25 @@ def _lex(text: str) -> list[_Token]:
     return tokens
 
 
+def _tops(value) -> tuple[int, int]:
+    """The largest exponent of each generator in value; (0, 0) for zero.
+
+    In both algebras these add up under multiplication (the Weyl product's
+    correction terms lower both), so they give the exponents of a product
+    or power before it is formed.
+    """
+    exps = value.support()
+    return (max(i for i, _ in exps), max(j for _, j in exps)) if exps else (0, 0)
+
+
 class _Parser:
-    """Recursive-descent parser over the lexed token stream."""
+    """Recursive-descent parser that returns the value of what it reads."""
 
     def __init__(self, text: str, mode: str):
-        self.symbols = _algebra(mode)._SYMBOLS
+        if mode not in _ALGEBRAS:
+            raise ValueError(f"unknown mode {mode!r}")
+        self.cls = _ALGEBRAS[mode]
+        self.gens = dict(zip(self.cls._SYMBOLS, self.cls._gens()))
         self.tokens = _lex(text)
         self.pos = 0
         self.depth = 0
@@ -158,39 +125,45 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self) -> Expr:
-        node = self.expr()
+    def check_cap(self, worst: int) -> None:
+        if worst > self.cap:
+            raise ResourceLimitError(
+                f"intermediate exponent {worst} exceeds WEYL_MAX_DEGREE={self.cap}")
+
+    def parse(self):
+        value = self.expr()
         tail = self.peek()
         if tail.kind != "end":
             raise ParseError(f"unexpected {tail.text!r}", tail.position)
-        return node
+        return value
 
-    def expr(self) -> Expr:
+    def expr(self):
         if self.peek().kind == "-":
             self.take()
-            node: Expr = Neg(self.term())
+            value = -self.term()
         else:
-            node = self.term()
+            value = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.take()
             right = self.term()
-            node = Add(node, right) if op.kind == "+" else Sub(node, right)
-        return node
+            value = value + right if op.kind == "+" else value - right
+        return value
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self):
+        value = self.factor()
         while True:
             nxt = self.peek()
             if nxt.kind == "*":
                 self.take()
-                node = Mul(node, self.factor())
-            elif nxt.kind in ("number", "symbol", "("):
-                node = Mul(node, self.factor())
-            else:
-                return node
+            elif nxt.kind not in ("number", "symbol", "("):
+                return value
+            right = self.factor()
+            (i, j), (k, m) = _tops(value), _tops(right)
+            self.check_cap(max(i + k, j + m))
+            value = value * right
 
-    def factor(self) -> Expr:
-        node = self.atom()
+    def factor(self):
+        base = self.atom()
         if self.peek().kind == "^":
             caret = self.take()
             exp = self.peek()
@@ -206,101 +179,43 @@ class _Parser:
             if n > self.cap:
                 raise ResourceLimitError(
                     f"exponent {n} exceeds WEYL_MAX_DEGREE={self.cap}")
-            return Pow(node, n)
-        return node
+            self.check_cap(n * max(_tops(base)))
+            return base ** n
+        return base
 
-    def atom(self) -> Expr:
+    def atom(self):
         tok = self.take()
         if tok.kind == "number":
             try:
-                return Num(Fraction(tok.text))
+                coeff = Fraction(tok.text)
             except ZeroDivisionError:
                 raise ParseError("zero denominator", tok.position) from None
             except ValueError:  # digits only: the interpreter's digit limit
                 raise ParseError("number has too many digits", tok.position) from None
+            return self.cls.constant(coeff)
         if tok.kind == "symbol":
-            if tok.text not in self.symbols:
+            if tok.text not in self.gens:
                 hint = next((f" (did you mean {mode} mode?)" for mode, cls in _ALGEBRAS.items()
                              if tok.text in cls._SYMBOLS), "")
                 raise ParseError(
                     f"symbol {tok.text!r} is not available in {self.mode} mode; "
-                    f"use {', '.join(self.symbols)}{hint}", tok.position)
-            return Sym(tok.text)
+                    f"use {', '.join(self.gens)}{hint}", tok.position)
+            return self.gens[tok.text]
         if tok.kind == "(":
             if self.depth == _MAX_NESTING:
                 raise ResourceLimitError(f"parentheses nested deeper than {_MAX_NESTING} "
                                          f"(at position {tok.position})")
             self.depth += 1
-            node = self.expr()
+            value = self.expr()
             self.depth -= 1
             closer = self.take()
             if closer.kind != ")":
                 raise ParseError("expected ')'", closer.position)
-            return node
+            return value
         raise ParseError(f"unexpected {tok.text!r}" if tok.kind != "end"
                          else "unexpected end of input", tok.position)
 
 
-def parse(text: str, mode: str) -> Expr:
-    """Parse an expression in the given mode without evaluating it."""
-    return _Parser(text, mode).parse()
-
-
-def _check_cap(value, cap: int):
-    exps = value.support()
-    if exps:
-        worst = max(max(i, j) for i, j in exps)
-        if worst > cap:
-            raise ResourceLimitError(
-                f"intermediate exponent {worst} exceeds WEYL_MAX_DEGREE={cap}")
-    return value
-
-
-def evaluate(node: Expr, mode: str):
-    """Evaluate a parsed tree to a WeylElement or BiPoly.
-
-    Weyl-mode products multiply noncommutatively in source order.
-    """
-    cls = _algebra(mode)
-    cap = weyl_max_degree()
-    sym = dict(zip(cls._SYMBOLS, cls._gens()))
-
-    # Post-order walk on an explicit stack: a long sum or product is a deep
-    # left-leaning tree.  Left operands are evaluated before right ones.
-    todo: list[tuple[Expr, bool]] = [(node, False)]
-    values: list = []
-    while todo:
-        n, expanded = todo.pop()
-        if isinstance(n, Num):
-            values.append(cls.constant(n.value))
-        elif isinstance(n, Sym):
-            values.append(sym[n.name])
-        elif not expanded:
-            todo.append((n, True))
-            todo.extend((child, False) for child in reversed(_children(n)))
-        elif isinstance(n, Neg):
-            values.append(-values.pop())
-        elif isinstance(n, Pow):
-            values.append(_check_cap(values.pop() ** n.exponent, cap))
-        else:
-            right = values.pop()
-            values.append(_check_cap(_BINARY[type(n)](values.pop(), right), cap))
-    return values.pop()
-
-
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
-
-
-def _children(n: Expr) -> tuple[Expr, ...]:
-    if isinstance(n, (Add, Sub, Mul)):
-        return (n.left, n.right)
-    if isinstance(n, Pow):
-        return (n.base,)
-    if isinstance(n, Neg):
-        return (n.operand,)
-    raise TypeError(f"not an expression node: {n!r}")
-
-
 def parse_element(text: str, mode: str):
-    """Parse and evaluate in one call."""
-    return evaluate(parse(text, mode), mode)
+    """Read text as a WeylElement (weyl mode) or a BiPoly (poly mode)."""
+    return _Parser(text, mode).parse()

@@ -148,7 +148,8 @@ def apply_to_poly_pair(word: Sequence[WordToken],
         if isinstance(gen, PairSwap):
             f, g = g, -f
         else:
-            f, g = _act(gen, f), _act(gen, g)
+            images = _images(gen, *type(f)._gens())
+            f, g = f.substitute(*images), g.substitute(*images)
     return f, g
 
 

@@ -1,4 +1,5 @@
 import json
+from random import Random
 
 import pytest
 
@@ -121,9 +122,10 @@ def test_dc_check_exit_codes(capsys):
 
 
 # Each must end in a parse or resource error, never in a traceback.  The
-# last two hold numbers past the interpreter's 4,300-digit limit.
+# fourth and fifth hold numbers past the interpreter's 4,300-digit limit;
+# the last is over the degree cap before it reaches its syntax error.
 _BAD_EXPRESSIONS = ("1/0 p", "(" * 1000 + "p" + ")" * 1000, " ".join(["p"] * 3000),
-                    "1" * 5000, "p^" + "1" * 5000)
+                    "1" * 5000, "p^" + "1" * 5000, "p^60 p^60 )")
 
 
 def test_eval_bad_expression_exits_2(capsys):
@@ -170,3 +172,57 @@ def test_degree_cap_is_a_clean_error(capsys, monkeypatch):
     code, _, err = run(capsys, "eval", "p^9")
     assert code == 2
     assert err.startswith("error:")
+
+
+_FUZZ_TOKENS = ("p", "q", "X", "Y", "0", "1", "2", "3", "/", "+", "-", "*", "^", "(", ")", " ")
+_FUZZ_WORD_TOKENS = (("rot", "swap", "scale:2", "scale:-1/2", "lin:1,1,0,1", "triu:[0,1]",
+                      "tril:[1,0,1/2]"),
+                     ("scale:0", "lin:2,0,0,1", "triu:[a]", "tril:[", "bogus"))
+
+
+def _fuzz_expr(rng):
+    if rng.random() < 0.5:
+        text = "".join(rng.choice(_FUZZ_TOKENS) for _ in range(rng.randint(0, 8)))
+    else:  # well formed more often than not: operands and operators alternate
+        symbols = rng.choice(("pq", "XY"))
+        text = rng.choice(("", "-"))
+        for k in range(rng.randint(1, 3)):
+            text += rng.choice(" +-*") if k else ""
+            text += rng.choice(symbols + "0123") + rng.choice(("", "", "^2", "^3"))
+    return " " + text if text.startswith("-") else text  # not an option to argparse
+
+
+def _fuzz_word(rng):
+    return ",".join(rng.choice(_FUZZ_WORD_TOKENS[rng.random() < 0.2])
+                    for _ in range(rng.randint(0, 3)))
+
+
+def _fuzz_argv(rng):
+    mode = ["-m", rng.choice(("weyl", "poly"))]
+    command = rng.choice(("eval", "bracket", "grade", "leading", "ntp", "classify-omega",
+                          "dc-check", "aut"))
+    if command in ("eval", "grade", "ntp"):
+        argv = [command, _fuzz_expr(rng)] + (mode if command == "eval" else [])
+    elif command == "bracket":
+        argv = [command, _fuzz_expr(rng), _fuzz_expr(rng)] + mode
+    elif command == "leading":
+        argv = [command, _fuzz_expr(rng), "-r", str(rng.randint(-2, 2)),
+                "-s", str(rng.randint(-2, 2))]
+    elif command == "classify-omega":
+        argv = [command, *rng.choice(((_fuzz_expr(rng), _fuzz_expr(rng)), ("X", "Y"),
+                                      ("X + 2 Y^3", "Y")))]
+    elif command == "dc-check":
+        pair = rng.choice(((_fuzz_expr(rng), _fuzz_expr(rng)), ("p", "q"), ("q", "p + q^2"),
+                           ("p q", "q")))
+        argv = [command, *pair, "--pre-word", _fuzz_word(rng)]
+    else:
+        argv = ["aut", "apply", _fuzz_word(rng), _fuzz_expr(rng)] + mode
+    return argv + (["--json"] if rng.random() < 0.5 else [])
+
+
+def test_random_argvs_end_in_an_exit_code(capsys):
+    rng = Random(2525)
+    for _ in range(500):
+        argv = _fuzz_argv(rng)
+        assert main(argv) in (0, 2, 3, 4), argv
+        capsys.readouterr()

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from weylkit import bipoly
 from weylkit.bipoly import BiPoly
 from weylkit.errors import ParseError, ResourceLimitError
 from weylkit.exprparse import parse_element
@@ -82,10 +83,114 @@ def test_degree_cap(monkeypatch):
         parse_element("p^11", "weyl")
     with pytest.raises(ResourceLimitError):
         parse_element("p^6 * p^6", "weyl")
+    with pytest.raises(ResourceLimitError, match="intermediate exponent 12 "):
+        parse_element("(p^2)^6", "weyl")
     with pytest.raises(ResourceLimitError, match="WEYL_MAX_DEGREE=10 .at position 2"):
         parse_element("p^" + "1" * 5000, "weyl")
     monkeypatch.delenv("WEYL_MAX_DEGREE")
     assert parse_element("p^11", "weyl") == P ** 11
+
+
+def test_first_fault_in_reading_order_is_reported():
+    # values are computed as the input is read: the product is over the
+    # cap before the parser reaches the stray parenthesis
+    with pytest.raises(ResourceLimitError, match="intermediate exponent 120"):
+        parse_element("p^60 p^60 )", "weyl")
+    with pytest.raises(ParseError, match="unexpected"):
+        parse_element("p^60 )", "weyl")
+
+
+_GENERATORS = {"weyl": {"p": P, "q": Q}, "poly": {"X": X, "Y": Y}}
+_ALGEBRAS = {"weyl": WeylElement, "poly": BiPoly}
+
+
+def _height(value) -> int:
+    return max((max(e) for e in value.support()), default=0)
+
+
+def _expression(rng: Random, mode: str, depth: int = 0):
+    """A random valid expression and its value, computed in source order."""
+    text = []
+    value = None
+    for _ in range(rng.randint(1, 3)):
+        part, term = _term(rng, mode, depth)
+        if value is None:
+            if rng.random() < 0.3:
+                text.append("-")
+                term = -term
+            text.append(part)
+            value = term
+        elif rng.random() < 0.5:
+            text.append(" + " + part)
+            value = value + term
+        else:
+            text.append(" - " + part)
+            value = value - term
+    return "".join(text), value
+
+
+def _term(rng: Random, mode: str, depth: int):
+    text, value = _factor(rng, mode, depth)
+    for _ in range(rng.randint(0, 2)):
+        if _height(value) > 12:  # keeps every value far below the degree cap
+            break
+        part, factor = _factor(rng, mode, depth)
+        text += rng.choice((" ", "*", " * ")) + part
+        value = value * factor
+    return text, value
+
+
+def _factor(rng: Random, mode: str, depth: int):
+    kind = rng.random()
+    if depth < 2 and kind < 0.25:
+        inner, value = _expression(rng, mode, depth + 1)
+        text = f"({inner})"
+        if _height(value) <= 8 and rng.random() < 0.5:
+            n = rng.randint(0, 2)
+            return f"{text}^{n}", value ** n
+        return text, value
+    if kind < 0.6:
+        name, value = rng.choice(sorted(_GENERATORS[mode].items()))
+        text = name
+    else:
+        coeff = Fraction(rng.randint(0, 9), rng.choice((1, 1, 2, 3, 7)))
+        text = f"{coeff.numerator}/{coeff.denominator}" if rng.random() < 0.5 else str(coeff)
+        value = _ALGEBRAS[mode].constant(coeff)
+    if rng.random() < 0.3:
+        n = rng.randint(0, 3)
+        return f"{text}^{n}", value ** n
+    return text, value
+
+
+@pytest.mark.parametrize("mode", ["weyl", "poly"])
+def test_parser_agrees_with_direct_arithmetic(mode):
+    rng = Random(2424)
+    texts = []
+    for _ in range(200):
+        text, value = _expression(rng, mode)
+        texts.append(text)
+        assert parse_element(text, mode) == value, text
+    seen = "".join(texts)
+    for feature in ("/", "^", "(", "*", " + ", " - ", ")^", "((", "-"):
+        assert feature in seen, feature
+
+
+def test_cap_is_checked_before_a_product_is_formed(monkeypatch):
+    formed = []
+    product = bipoly._product
+
+    def recording(f, g, rule):
+        terms = product(f, g, rule)
+        formed.extend(max(e) for e in terms)
+        return terms
+
+    monkeypatch.setattr(bipoly, "_product", recording)
+    for text, worst in (("(p^3 + q^3 + p q)^22", 66), ("(p^40 + q) (p^30 + 1)", 70),
+                        ("(q^40 + p) (q^25 + 1)", 65), ("(p^3 + q^3 + p q)^22 )", 66)):
+        with pytest.raises(ResourceLimitError, match=f"intermediate exponent {worst} "):
+            parse_element(text, "weyl")
+    assert max(formed) <= 64
+    assert parse_element("(q^40 + p) (q^24 + 1)", "weyl").support() >= {(0, 64)}
 
 
 def test_printer_output_parses_back():
