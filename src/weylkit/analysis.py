@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import gcd
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -488,8 +488,13 @@ def criterion_homogeneous(z: WeylElement, w: WeylElement) -> Optional[Certificat
     return _either_side(_homogeneous, z, w)
 
 
-def _homogeneous(z: WeylElement, w: WeylElement) -> Optional[Certificate]:
-    parts = graded_decomp(z).parts
+def _graded_parts(el: WeylElement) -> tuple[tuple[int, WeylElement], ...]:
+    return graded_decomp(el).parts
+
+
+def _homogeneous(z: WeylElement, w: WeylElement, *,
+                 parts_of: Callable[[WeylElement], tuple] = _graded_parts) -> Optional[Certificate]:
+    parts = parts_of(z)
     if len(parts) != 1:
         return None
     level = parts[0][0]
@@ -842,10 +847,11 @@ def criterion_two_homogeneous(z: WeylElement, w: WeylElement) -> Optional[Certif
     return _either_side(_two_homogeneous, z, w)
 
 
-def _two_homogeneous(z: WeylElement, w: WeylElement) -> Optional[Certificate]:
-    parts = graded_decomp(z).parts
+def _two_homogeneous(z: WeylElement, w: WeylElement, *,
+                     parts_of: Callable[[WeylElement], tuple] = _graded_parts) -> Optional[Certificate]:
+    parts = parts_of(z)
     if len(parts) == 1:
-        sub = _homogeneous(z, w)
+        sub = _homogeneous(z, w, parts_of=parts_of)
         if sub is None:
             raise InvariantViolation("single graded part must satisfy the homogeneous criterion")
         return _chain("two_homogeneous", (), sub)
@@ -928,7 +934,9 @@ def dc_check(z: WeylElement, w: WeylElement, *,
     partner before the commutator is even checked; invalid pairs report
     NotAWeylPair; otherwise the criteria run in a fixed order, on the
     pair checked here once, and the first certificate wins, after an
-    internal replay.
+    internal replay.  Each entry's graded decomposition (with its ad(pq)
+    eigenvector check) is computed at most once per call, and shared by
+    the criteria that read it.
     """
     if pre_word:
         try:
@@ -945,13 +953,14 @@ def dc_check(z: WeylElement, w: WeylElement, *,
         return DCReport(Outcome.NOT_A_WEYL_PAIR, None,
                         "commutator of the input pair is not 1", (), (z, w))
 
+    parts_of = cache(_graded_parts)
     battery: tuple[tuple[str, Callable[..., Optional[Certificate]]], ...] = (
-        ("homogeneous", partial(_either_side, _homogeneous)),
+        ("homogeneous", partial(_either_side, _homogeneous, parts_of=parts_of)),
         ("v01", partial(_either_side, _v01)),
         ("grading", partial(_either_side, _grading)),
         ("D_ge_minus1", partial(_either_side, _D_ge_minus1,
                                 assume_centralizer_cyclic=assume_centralizer_cyclic)),
-        ("two_homogeneous", partial(_either_side, _two_homogeneous)),
+        ("two_homogeneous", partial(_either_side, _two_homogeneous, parts_of=parts_of)),
         ("support", _support),
         ("leading_bracket", _leading_bracket),
         ("cf_kf", _cf_kf),

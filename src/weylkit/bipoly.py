@@ -13,11 +13,12 @@ maximal power decomposition f = lam * h^m used by the centralizer machinery.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index, itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Optional, Union
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -40,6 +41,9 @@ class _SparseTerms:
     A subclass sets two class attributes and nothing else is per algebra:
     _RULE, the product rule the kernel runs (_TIMES or _WEYL), and
     _SYMBOLS, the two generator names used for printing and parsing.
+    The kernel's two other rules have their own entry points:
+    poisson.poisson_bracket runs _BRACKET and weyl.commutator runs
+    _COMMUTATOR, which never forms the two products it is the difference of.
 
     Instances are treated as immutable after construction; the term map is
     canonical (no zero coefficients, exponents are nonnegative ints).
@@ -281,11 +285,16 @@ class _SparseTerms:
 
 # -- the exact product kernel --------------------------------------------
 #
-# Three bilinear products share one integer kernel.  Each operand's
-# denominators are cleared once (f = F / D_f with F integral), the product
-# runs on Python ints, and each output coefficient becomes one Fraction
-# n / (D_f * D_g).  Exponents (i, j) are keyed as i * w + j, with w larger
-# than any output j, so exponents add when keys add.
+# Four bilinear products share one integer kernel: the commutative
+# product, the normal-ordered Weyl product, the Poisson bracket and the
+# Weyl commutator.  Each operand's denominators are cleared once
+# (f = F / D_f with F integral), the product runs on Python ints, and each
+# output coefficient becomes one Fraction n / (D_f * D_g).  Exponents
+# (i, j) are keyed as i * w + j, with w larger than any output j, so
+# exponents add when keys add.  The commutator [f, g] is computed in one
+# pass, never as f * g - g * f: the t = 0 terms of the Weyl product are the
+# commutative product, which cancels between the two orders, so only the
+# t >= 1 terms of both orders are formed, into one accumulator.
 #
 # Dense operands are multiplied by Kronecker substitution: an integer
 # polynomial becomes one big int with a fixed-width slot per key, and
@@ -294,7 +303,7 @@ class _SparseTerms:
 # through an integer schoolbook loop instead, because packing and unpacking
 # every slot would cost more than the pairs themselves.
 
-_TIMES, _WEYL, _BRACKET = "times", "weyl", "bracket"
+_TIMES, _WEYL, _BRACKET, _COMMUTATOR = "times", "weyl", "bracket", "commutator"
 _PAIRS_PER_SLOT = 2  # schoolbook while len(f) * len(g) <= this * slot count
 
 
@@ -383,7 +392,12 @@ def _product(f: Mapping[Exponent, Fraction], g: Mapping[Exponent, Fraction],
 
         f * g = sum_t (-1)^t (d_q^t f / t!) (d_p^t g);
 
-    _BRACKET the Poisson bracket f_X g_Y - f_Y g_X.  The result is a
+    _BRACKET the Poisson bracket f_X g_Y - f_Y g_X; _COMMUTATOR the Weyl
+    commutator
+
+        [f, g] = sum_{t>=1} (-1)^t / t! ((d_q^t f)(d_p^t g) - (d_q^t g)(d_p^t f)),
+
+    whose t = 0 terms cancel and are never formed.  The result is a
     canonical term map.
     """
     if not f or not g:
@@ -418,7 +432,7 @@ def _schoolbook(a: list, b: list, w: int, rule: str) -> dict[int, int]:
                 if s:
                     k = ka + kb - shift
                     acc[k] = get(k, 0) + s * x * y
-    else:
+    elif rule == _WEYL:
         # p^s1 q^i1 * p^s2 q^i2 = sum_t (-1)^t t! C(i1, t) C(s2, t) p^(s1+s2-t) q^(i1+i2-t)
         step = w + 1
         for ka, _, i1, x in a:
@@ -430,6 +444,22 @@ def _schoolbook(a: list, b: list, w: int, rule: str) -> dict[int, int]:
                     c = -c * (i1 - t + 1) * (s2 - t + 1) // t
                     k -= step
                     acc[k] = get(k, 0) + c
+    else:
+        # [p^s1 q^i1, p^s2 q^i2]
+        #   = sum_{t>=1} (-1)^t t! (C(i1, t) C(s2, t) - C(i2, t) C(s1, t)) p^(s1+s2-t) q^(i1+i2-t)
+        step = w + 1
+        for ka, s1, i1, x in a:
+            for kb, s2, i2, y in b:
+                top = max(min(i1, s2), min(i2, s1))
+                if not top:
+                    continue
+                k = ka + kb
+                c = d = x * y
+                for t in range(1, top + 1):
+                    c = -c * (i1 - t + 1) * (s2 - t + 1) // t
+                    d = -d * (i2 - t + 1) * (s1 - t + 1) // t
+                    k -= step
+                    acc[k] = get(k, 0) + c - d
     return acc
 
 
@@ -437,6 +467,11 @@ def _factors(a: list, b: list, w: int, rule: str) -> list[tuple[int, list, list]
     """The commutative products (sign, F, G) whose sum is the product under rule."""
     if rule == _TIMES:
         return [(1, [(k, n) for k, _, _, n in a], [(k, n) for k, _, _, n in b])]
+    if rule == _COMMUTATOR:
+        # the Weyl factors of both orders without their t = 0 factor, the
+        # reversed order's with the opposite sign
+        return (_factors(a, b, w, _WEYL)[1:]
+                + [(-s, f, g) for s, f, g in _factors(b, a, w, _WEYL)[1:]])
     if rule == _BRACKET:
         f_x = [(k - w, i * n) for k, i, _, n in a if i]
         f_y = [(k - 1, j * n) for k, _, j, n in a if j]

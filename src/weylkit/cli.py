@@ -6,7 +6,10 @@ emit JSON.  dc-check exits 0 for Generates, 2 for Inconclusive, 3 for
 NotAWeylPair and 4 for NoPartnerPossible; dc-check input that does not
 parse, z, w or --pre-word, gives the NotAWeylPair document with an
 "input error" reason and exit 3.  Other commands exit 0 on success and 2
-on bad input.
+on bad input.  Every command exits 5, printing "error: internal error:
+..." and no traceback, when a self-check fails (InvariantViolation or
+ReplayError); that always means a bug in weylkit, never a property of
+the input.
 
 JSON schema.  All rationals are strings in num or num/den form; nothing
 is ever a float.  An element (Weyl or polynomial) is a list of terms
@@ -37,7 +40,8 @@ from typing import Optional, Sequence
 from .analysis import (Certificate, DCReport, OmegaClass, ReduceStep, WordStep,
                        dc_check, omega_classify)
 from .bipoly import BiPoly, Direction
-from .errors import NotAWeylPairError, ParseError, ResourceLimitError
+from .errors import (InvariantViolation, NotAWeylPairError, ParseError, ReplayError,
+                     ResourceLimitError)
 from .exprparse import parse_element
 from .geometry import ntp, roof
 from .poisson import poisson_bracket
@@ -328,6 +332,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, ResourceLimitError, NotAWeylPairError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (InvariantViolation, ReplayError) as exc:
+        print(f"error: internal error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -14,10 +14,14 @@ which on basis monomials is the closed reordering sum
 
 over 0 <= j <= min(i1, s2).  WeylElement is bipoly's element class with
 this product rule and the symbols p, q.  The product runs on the kernel in
-bipoly shared with the commutative side: each operand's denominators are
-cleared once, dense operands (term pairs more than twice the packed slot
-count) go through Kronecker packing with the j terms summed in one packed
-accumulator, sparse ones through the closed sum in integers.  The module
+bipoly shared with the commutative side, which has four rules: the
+commutative product, the Poisson bracket, this product and the
+commutator.  Each operand's denominators are cleared once, dense operands
+(term pairs more than twice the packed slot count) go through Kronecker
+packing with the j terms summed in one packed accumulator, sparse ones
+through the closed sum in integers.  The commutator [z, w] never forms
+z * w and w * z: their j = 0 terms are equal and cancel, so the kernel
+sums only the j >= 1 terms of both orders, in one pass.  The module
 also carries the integer grading by q-degree minus p-degree, the
 transport of weighted-degree tools along the basis identification with
 Q[X, Y], and the leading-form laws that connect the two worlds.
@@ -31,6 +35,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .bipoly import (
+    _COMMUTATOR,
     _WEYL,
     NEG_INF,
     BiPoly,
@@ -38,6 +43,7 @@ from .bipoly import (
     DirectionLike,
     _SparseTerms,
     _poly_eval,
+    _product,
     as_direction,
     homog_decomp,
     leading_form,
@@ -83,7 +89,8 @@ def weyl_mul(z: WeylElement, w: WeylElement) -> WeylElement:
 
 
 def commutator(z: WeylElement, w: WeylElement) -> WeylElement:
-    return z * w - w * z
+    """[z, w] = z w - w z in one kernel pass, without forming either product."""
+    return WeylElement._from_canonical(_product(z._terms, w._terms, _COMMUTATOR))
 
 
 def grade(e: tuple[int, int]) -> int:

@@ -4,7 +4,8 @@ These deliberately avoid the code under test: products are
 normal-ordered by literal symbol rewriting, roof chains are rebuilt by
 sweeping explicit support functionals, and the three term-pair loops
 below multiply one Fraction pair at a time, with none of the product
-kernel's denominator clearing or packing.
+kernel's denominator clearing or packing.  The commutator is the
+difference of two such products, as its definition reads.
 """
 
 from fractions import Fraction
@@ -63,6 +64,11 @@ def closed_sum_product(z: WeylElement, w: WeylElement) -> WeylElement:
                 else:
                     acc.pop(e, None)
     return WeylElement(acc)
+
+
+def closed_sum_commutator(z: WeylElement, w: WeylElement) -> WeylElement:
+    """[z, w] as the difference of the two closed-sum products z w and w z."""
+    return closed_sum_product(z, w) - closed_sum_product(w, z)
 
 
 def schoolbook_product(f: BiPoly, g: BiPoly) -> BiPoly:

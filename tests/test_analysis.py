@@ -32,6 +32,7 @@ from weylkit.transforms import (
     TriLower,
     apply_to_pair,
     apply_to_poly_pair,
+    parse_word,
 )
 from weylkit.weyl import WeylElement, is_weyl_pair, weyl_mul
 
@@ -349,3 +350,21 @@ def test_dc_check_verdict_stable_under_words():
         word = gen.scaling_word(rng, max_len=4)
         rep = dc_check(P + Q, Q, pre_word=word)
         assert rep.outcome is Outcome.GENERATES
+
+
+def test_dc_check_decomposes_each_entry_once(monkeypatch):
+    # an Inconclusive pair: every criterion runs, on both orientations
+    z, w = apply_to_pair(parse_word("triu:[0,0,1],tril:[0,0,1],triu:[0,0,1]"), P, Q)
+    seen = []
+    real = analysis.graded_decomp
+
+    def counting(el):
+        seen.append(el)
+        return real(el)
+
+    monkeypatch.setattr(analysis, "graded_decomp", counting)
+    assert dc_check(z, w).outcome is Outcome.INCONCLUSIVE
+    assert sorted(map(str, seen)) == sorted([str(z), str(w)])
+    seen.clear()
+    assert criterion_two_homogeneous(z, w) is None
+    assert len(seen) == 2

@@ -3,7 +3,9 @@ from random import Random
 
 import pytest
 
+from weylkit import analysis
 from weylkit.cli import main
+from weylkit.errors import InvariantViolation, ReplayError
 
 
 def run(capsys, *argv):
@@ -226,3 +228,15 @@ def test_random_argvs_end_in_an_exit_code(capsys):
         argv = _fuzz_argv(rng)
         assert main(argv) in (0, 2, 3, 4), argv
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("error", [InvariantViolation, ReplayError])
+def test_internal_error_exits_5_without_a_traceback(capsys, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error("self-check failed")
+
+    monkeypatch.setattr(analysis, "_homogeneous", broken)
+    code, out, err = run(capsys, "dc-check", "p", "q")
+    assert code == 5
+    assert out == ""
+    assert err == "error: internal error: self-check failed\n"

@@ -1,8 +1,10 @@
 """Property tests of the exact product kernel against the reference loops.
 
-Every case is run three ways: as the library picks the multiply, and
-with the choice forced to the integer schoolbook loop and to Kronecker
-packing.  Operands come from both sides of the dense/sparse rule.
+All four rules of the kernel are covered: the Weyl and BiPoly products,
+the Poisson bracket and the Weyl commutator.  Every case is run three
+ways: as the library picks the multiply, and with the choice forced to
+the integer schoolbook loop and to Kronecker packing.  Operands come
+from both sides of the dense/sparse rule.
 """
 
 from contextlib import contextmanager
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from weylkit import bipoly
 from weylkit.bipoly import BiPoly
 from weylkit.poisson import poisson_bracket
-from weylkit.weyl import WeylElement
+from weylkit.weyl import WeylElement, commutator
 
 import oracles
 
@@ -93,6 +95,55 @@ def test_bipoly_product_matches_schoolbook(f, g):
 def test_bracket_matches_monomial_rule(f, g):
     f, g = BiPoly(f), BiPoly(g)
     assert_all_equal(three_ways(poisson_bracket, f, g), oracles.monomial_bracket(f, g))
+
+
+@PROPERTY
+@given(operands, operands)
+def test_commutator_matches_difference_of_products(f, g):
+    z, w = WeylElement(f), WeylElement(g)
+    assert_all_equal(three_ways(commutator, z, w), oracles.closed_sum_commutator(z, w))
+
+
+@PROPERTY
+@given(operands, operands)
+def test_commutator_is_antisymmetric(f, g):
+    z, w = WeylElement(f), WeylElement(g)
+    for zw, wz in zip(three_ways(commutator, z, w), three_ways(commutator, w, z)):
+        assert zw == -wz
+
+
+@PROPERTY
+@given(operands)
+def test_element_commutes_with_itself(f):
+    z = WeylElement(f)
+    assert_all_equal(three_ways(commutator, z, z), WeylElement())
+
+
+@PROPERTY
+@given(st.integers(0, 12), st.integers(0, 12), rationals)
+def test_commutator_with_pq_is_the_grade(i, j, c):
+    pq, mono = WeylElement.monomial(1, 1), WeylElement.monomial(i, j, c)
+    assert_all_equal(three_ways(commutator, pq, mono), mono * (j - i))
+
+
+def test_commutator_forms_no_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("commutator formed a product or a difference")
+    z = WeylElement({(i, j): i - 2 * j + 1 for i in range(6) for j in range(6 - i)})
+    w = WeylElement.monomial(0, 3) + WeylElement.gen_p()
+    expected = oracles.closed_sum_commutator(z, w)
+    monkeypatch.setattr(WeylElement, "__mul__", refuse)
+    monkeypatch.setattr(WeylElement, "__sub__", refuse)
+    assert_all_equal(three_ways(commutator, z, w), expected)
+
+
+def test_commutator_with_no_kronecker_factor_left():
+    # polynomials in p alone commute: no t >= 1 factor is left to pack
+    z = WeylElement({(i, 0): i + 1 for i in range(6)})
+    w = WeylElement({(i, 0): Fraction(1, i + 2) for i in range(6)})
+    a, b = (bipoly._cleared(x._terms, 1)[1] for x in (z, w))
+    assert bipoly._factors(a, b, 1, bipoly._COMMUTATOR) == []
+    assert_all_equal(three_ways(commutator, z, w), WeylElement())
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
