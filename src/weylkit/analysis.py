@@ -936,7 +936,8 @@ def dc_check(z: WeylElement, w: WeylElement, *,
     pair checked here once, and the first certificate wins, after an
     internal replay.  Each entry's graded decomposition (with its ad(pq)
     eigenvector check) is computed at most once per call, and shared by
-    the criteria that read it.
+    the criteria that read it.  A pre_word whose image would pass the
+    degree cap raises ResourceLimitError before that image is formed.
     """
     if pre_word:
         try:

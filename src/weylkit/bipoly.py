@@ -12,6 +12,7 @@ maximal power decomposition f = lam * h^m used by the centralizer machinery.
 
 from __future__ import annotations
 
+import os
 import struct
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -19,6 +20,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import index, itemgetter
 from typing import Optional, Union
+
+from .errors import ResourceLimitError
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -262,25 +265,81 @@ class _SparseTerms:
                 base = base * base
         return result
 
-    def substitute(self, x_image: "_SparseTerms", y_image: "_SparseTerms"):
+    def substitute(self, x_image: "_SparseTerms", y_image: "_SparseTerms",
+                   y_powers: Optional[list] = None):
         """Sum of c * x_image^i * y_image^j over the terms c (i, j) of self.
 
         x_image and y_image belong to one algebra, commutative or not, which
-        need not be the algebra of self; the result is in theirs.  Each of
-        their powers is formed once, from the power before it.
+        need not be the algebra of self; the result is in theirs.  It is
+        formed by Horner's rule in x_image: the terms are grouped by i into
+        rows P_i = sum_j c_ij y_image^j, each built as a linear combination
+        of the powers of y_image in one coefficient dict, with no product,
+        and the rows are folded from the top i down as
+        acc = x_image * acc + P_i.  x_image stays on the left, so the normal
+        order p^i q^j holds in either algebra.  That is one product per
+        degree of self in its first generator, plus one per power of
+        y_image not formed before; y_powers, a list [1, y_image, ...] read
+        and extended in place, lets substitutions of one y_image share them.
+
+        Before any row or product is formed, the largest exponent of the
+        result is bounded by i * _tops(x_image) + j * _tops(y_image) over the
+        terms (i, j); over WEYL_MAX_DEGREE it raises ResourceLimitError.
         """
-        one = x_image.one()
-        powers_x, powers_y = [one], [one]
-
-        def power(cache, base, n):
-            while len(cache) <= n:
-                cache.append(cache[-1] * base)
-            return cache[n]
-
-        acc = x_image.zero()
+        (a1, b1), (a2, b2) = _tops(x_image), _tops(y_image)
+        worst = max((max(i * a1 + j * a2, i * b1 + j * b2) for i, j in self._terms), default=0)
+        cap = weyl_max_degree()
+        if worst > cap:
+            raise ResourceLimitError(
+                f"substitution would reach exponent {worst}, over WEYL_MAX_DEGREE={cap}")
+        rows: dict[int, list[tuple[int, Fraction]]] = {}
         for (i, j), c in self._terms.items():
-            acc = acc + power(powers_x, x_image, i) * power(powers_y, y_image, j) * c
+            rows.setdefault(i, []).append((j, c))
+        if y_powers is None:
+            y_powers = [y_image.one()]
+        acc = x_image.zero()
+        for i in range(max(rows, default=-1), -1, -1):
+            # a product's term map is fresh, so the row is added into it in place
+            terms = (x_image * acc)._terms if acc else {}
+            for j, c in rows.get(i, ()):
+                while len(y_powers) <= j:
+                    y_powers.append(y_powers[-1] * y_image)
+                for e, v in y_powers[j]._terms.items():
+                    s = c * v
+                    old = terms.get(e)
+                    if old is not None:
+                        s += old
+                        if not s:
+                            del terms[e]
+                            continue
+                    terms[e] = s
+            acc = x_image._from_canonical(terms)
         return acc
+
+
+def weyl_max_degree() -> int:
+    """The degree cap: WEYL_MAX_DEGREE from the environment, 64 if unset.
+
+    The expression parser and substitute both read it here, on every use.
+    """
+    raw = os.environ.get("WEYL_MAX_DEGREE", "64")
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ResourceLimitError(f"WEYL_MAX_DEGREE must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ResourceLimitError("WEYL_MAX_DEGREE must be positive")
+    return cap
+
+
+def _tops(value: _SparseTerms) -> tuple[int, int]:
+    """The largest exponent of each generator in value; (0, 0) for zero.
+
+    In both algebras these add up under multiplication (the Weyl product's
+    correction terms lower both), so they bound the exponents of a product,
+    power or substitution before it is formed.
+    """
+    exps = value._terms
+    return (max(i for i, _ in exps), max(j for _, j in exps)) if exps else (0, 0)
 
 
 # -- the exact product kernel --------------------------------------------

@@ -4,12 +4,17 @@ Subcommands: eval, bracket, grade, leading, ntp, classify-omega, dc-check,
 aut apply.  Everything accepts --json; classify-omega and dc-check always
 emit JSON.  dc-check exits 0 for Generates, 2 for Inconclusive, 3 for
 NotAWeylPair and 4 for NoPartnerPossible; dc-check input that does not
-parse, z, w or --pre-word, gives the NotAWeylPair document with an
-"input error" reason and exit 3.  Other commands exit 0 on success and 2
-on bad input.  Every command exits 5, printing "error: internal error:
-..." and no traceback, when a self-check fails (InvariantViolation or
-ReplayError); that always means a bug in weylkit, never a property of
-the input.
+parse, z, w or --pre-word, or that passes a resource cap, gives the
+NotAWeylPair document with an "input error" reason and exit 3.  Other
+commands exit 0 on success and 2 on bad input.  The resource caps are
+ResourceLimitErrors: an exponent over WEYL_MAX_DEGREE (default 64) in a
+parsed value or in the image of a word, which aut apply and --pre-word
+check before each substitution is formed, and coefficients that could
+pass the interpreter's integer-string digit limit, which the parser
+checks before each product or power and on the value it returns.  Every
+command exits 5, printing "error: internal error: ..." and no traceback,
+when a self-check fails (InvariantViolation or ReplayError); that always
+means a bug in weylkit, never a property of the input.
 
 JSON schema.  All rationals are strings in num or num/den form; nothing
 is ever a float.  An element (Weyl or polynomial) is a list of terms
@@ -232,12 +237,12 @@ def _cmd_dc_check(args, out) -> int:
         pre = parse_word(args.pre_word) if args.pre_word else ()
         z = parse_element(args.z, "weyl")
         w = parse_element(args.w, "weyl")
+        report = dc_check(z, w, pre_word=pre,
+                          assume_centralizer_cyclic=args.assume_centralizer_cyclic)
     except (ParseError, ResourceLimitError) as exc:
         _emit({"outcome": "NotAWeylPair", "reason": f"input error: {exc}",
                "pair": None, "attempts": [], "certificate": None}, out)
         return _EXIT_BY_OUTCOME["NotAWeylPair"]
-    report = dc_check(z, w, pre_word=pre,
-                      assume_centralizer_cyclic=args.assume_centralizer_cyclic)
     _emit(_report_doc(report), out)
     return _EXIT_BY_OUTCOME[report.outcome.value]
 

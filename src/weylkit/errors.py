@@ -18,7 +18,13 @@ class ParseError(WeylkitError):
 
 
 class ResourceLimitError(WeylkitError):
-    """Raised when an exponent exceeds the configured degree cap."""
+    """Raised when a value would pass a resource cap.
+
+    The caps are the degree cap WEYL_MAX_DEGREE, which the parser and
+    every substitution check, and the parser's bound on coefficient size,
+    which keeps every coefficient printable under the interpreter's
+    integer-string digit limit.
+    """
 
 
 class NotAWeylPairError(WeylkitError):

@@ -15,21 +15,31 @@ pass; the first fault in reading order is the one reported.  Exponents
 are capped by the WEYL_MAX_DEGREE environment variable (default 64); so
 is the largest exponent of any intermediate value, checked before each
 product or power is formed (a sum never raises one), which turns runaway
-products into an explicit resource error instead of a memory blowup.  A
-long sum or product is a loop, and recursion happens only through
-parentheses, which nest at most 100 deep (deeper input is a resource
-error too), so no input exhausts the interpreter stack.  A number past
-the interpreter's integer-string digit limit is a parse error as a
-coefficient and a resource error as an exponent.
+products into an explicit resource error instead of a memory blowup.
+Coefficient size has a budget too: before each product or power, a
+bound on its numerators and denominators (from the _coeff_bits of the
+factors, plus what normal ordering can add) is checked against the
+interpreter's integer-string digit limit, sys.get_int_max_str_digits(),
+so a value whose coefficients could not be printed is a resource error
+before it is formed, and a parsed value that could not be printed (a sum
+can reach one) is a resource error too; with no digit limit there is no
+budget.  A long sum or product is
+a loop, and recursion happens only through parentheses, which nest at
+most 100 deep (deeper input is a resource error too), so no input
+exhausts the interpreter stack.  A number past the interpreter's
+integer-string digit limit is a parse error as a coefficient and a
+resource error as an exponent.
 """
 
 from __future__ import annotations
 
-import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import lcm
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, _tops, weyl_max_degree
 from .errors import ParseError, ResourceLimitError
 from .weyl import WeylElement
 
@@ -37,17 +47,6 @@ __all__ = ["parse_element", "weyl_max_degree"]
 
 _ALGEBRAS = {"weyl": WeylElement, "poly": BiPoly}
 _MAX_NESTING = 100
-
-
-def weyl_max_degree() -> int:
-    raw = os.environ.get("WEYL_MAX_DEGREE", "64")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ResourceLimitError(f"WEYL_MAX_DEGREE must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ResourceLimitError("WEYL_MAX_DEGREE must be positive")
-    return cap
 
 
 @dataclass(frozen=True)
@@ -92,15 +91,34 @@ def _lex(text: str) -> list[_Token]:
     return tokens
 
 
-def _tops(value) -> tuple[int, int]:
-    """The largest exponent of each generator in value; (0, 0) for zero.
+@cache
+def _digit_limit(digits: int) -> tuple[int, int]:
+    """10^digits, below which a number prints under the interpreter's
+    digit limit, and the largest h with 2^h below it: the budget in bits."""
+    top = 10 ** digits
+    return top, top.bit_length() - 1
 
-    In both algebras these add up under multiplication (the Weyl product's
-    correction terms lower both), so they give the exponents of a product
-    or power before it is formed.
+
+def _coeff_bits(value) -> int:
+    """Bits h with max(|F|_1, D) <= 2^h, where value = F / D, D the lcm of its denominators.
+
+    Every numerator and denominator of value is at most 2^h.  Since
+    F G / (D_f D_g) is the product cleared, a product's bits are at most
+    the sum of its factors' bits plus _reorder_bits.
     """
-    exps = value.support()
-    return (max(i for i, _ in exps), max(j for _, j in exps)) if exps else (0, 0)
+    coeffs = [c for _, c in value.items()]
+    den = lcm(*[c.denominator for c in coeffs])
+    norm = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
+    return (max(norm, den) - 1).bit_length()
+
+
+def _reorder_bits(left_q: int, right_p: int) -> int:
+    """Bits by which normal ordering can grow coefficient sums in a Weyl product.
+
+    p^s1 q^i1 * p^s2 q^i2 has coefficients of absolute sum
+    sum_t t! C(i1, t) C(s2, t), which is at most (1 + s2)^i1 and (1 + i1)^s2.
+    """
+    return (min((1 + right_p) ** left_q, (1 + left_q) ** right_p) - 1).bit_length()
 
 
 class _Parser:
@@ -116,6 +134,8 @@ class _Parser:
         self.depth = 0
         self.mode = mode
         self.cap = weyl_max_degree()
+        self.digits = sys.get_int_max_str_digits()
+        self.top, self.budget = _digit_limit(self.digits) if self.digits else (None, None)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -130,11 +150,27 @@ class _Parser:
             raise ResourceLimitError(
                 f"intermediate exponent {worst} exceeds WEYL_MAX_DEGREE={self.cap}")
 
+    def check_budget(self, bits: int) -> None:
+        if self.budget is not None and bits > self.budget:
+            raise ResourceLimitError(
+                f"intermediate coefficients could pass the interpreter's "
+                f"{self.digits}-digit integer limit")
+
+    def reorder_bits(self, left_q: int, right_p: int) -> int:
+        return _reorder_bits(left_q, right_p) if self.mode == "weyl" else 0
+
     def parse(self):
         value = self.expr()
         tail = self.peek()
         if tail.kind != "end":
             raise ParseError(f"unexpected {tail.text!r}", tail.position)
+        # sums are not budgeted before they are formed, but they at most
+        # add the digits of their terms, so checking the result suffices
+        top = self.top
+        if top is not None and any(abs(c.numerator) >= top or c.denominator >= top
+                                   for _, c in value.items()):
+            raise ResourceLimitError(
+                f"a coefficient passes the interpreter's {self.digits}-digit integer limit")
         return value
 
     def expr(self):
@@ -160,6 +196,7 @@ class _Parser:
             right = self.factor()
             (i, j), (k, m) = _tops(value), _tops(right)
             self.check_cap(max(i + k, j + m))
+            self.check_budget(_coeff_bits(value) + _coeff_bits(right) + self.reorder_bits(j, k))
             value = value * right
 
     def factor(self):
@@ -179,7 +216,11 @@ class _Parser:
             if n > self.cap:
                 raise ResourceLimitError(
                     f"exponent {n} exceeds WEYL_MAX_DEGREE={self.cap}")
-            self.check_cap(n * max(_tops(base)))
+            a, b = _tops(base)
+            self.check_cap(n * max(a, b))
+            # base^n = base^(n-1) * base, whose left factor has q-exponent (n-1) b
+            self.check_budget(n * _coeff_bits(base)
+                              + sum(self.reorder_bits(k * b, a) for k in range(1, n)))
             return base ** n
         return base
 

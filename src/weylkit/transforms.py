@@ -3,9 +3,12 @@
 A word is a sequence of generator tokens applied left to right.  Each
 generator is written once, as the images of an algebra's two generators,
 and acts on an element of either algebra (p, q or X, Y) by substituting
-them; pairs are acted on entry by entry, and the token that swaps the
-two entries with a sign exists only at pair level.  Words are plain data
-so they can be recorded inside certificates and replayed exactly.
+them (Horner's rule in the first image, see _SparseTerms.substitute);
+pairs are acted on entry by entry, and the token that swaps the two
+entries with a sign exists only at pair level.  Every substitution checks
+the degree cap WEYL_MAX_DEGREE before it forms anything, so a word whose
+image would pass it raises ResourceLimitError at once.  Words are plain
+data so they can be recorded inside certificates and replayed exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .bipoly import BiPoly, _poly_eval, _SparseTerms
+from .bipoly import BiPoly, _SparseTerms
 from .errors import InvariantViolation, NotAWeylPairError, ParseError
 from .weyl import WeylElement, is_weyl_pair
 
@@ -93,23 +96,27 @@ WordToken = Union[AlgebraGen, PairSwap]
 Word = tuple[WordToken, ...]
 
 
-def _images(gen: AlgebraGen, x, y):
-    """Images under gen of the generator pair (x, y): (p, q) or (X, Y)."""
+def _images(gen: AlgebraGen, cls):
+    """Images under gen of the generators (p, q) or (X, Y) of cls.
+
+    Each image is a linear polynomial or a polynomial in one generator, so
+    it is written down term by term: no power, product or sum is formed.
+    """
     if isinstance(gen, Linear):
-        return x * gen.a + y * gen.b, x * gen.c + y * gen.d
+        return cls({(1, 0): gen.a, (0, 1): gen.b}), cls({(1, 0): gen.c, (0, 1): gen.d})
     if isinstance(gen, TriUpper):
-        return x + _poly_eval(gen.coeffs, y), y
+        return cls({(1, 0): 1} | {(0, k): c for k, c in enumerate(gen.coeffs)}), cls({(0, 1): 1})
     if isinstance(gen, TriLower):
-        return x, y + _poly_eval(gen.coeffs, x)
+        return cls({(1, 0): 1}), cls({(0, 1): 1} | {(k, 0): c for k, c in enumerate(gen.coeffs)})
     if isinstance(gen, Scale):
-        return x * gen.lam, y * (1 / gen.lam)
+        return cls({(1, 0): gen.lam}), cls({(0, 1): 1 / gen.lam})
     if isinstance(gen, Rot90):
-        return y, -x
+        return cls({(0, 1): 1}), cls({(1, 0): -1})
     raise TypeError(f"not an algebra generator: {gen!r}")
 
 
 def _act(gen: AlgebraGen, el: _SparseTerms) -> _SparseTerms:
-    return el.substitute(*_images(gen, *type(el)._gens()))
+    return el.substitute(*_images(gen, type(el)))
 
 
 def _act_word(word: Sequence[WordToken], el: _SparseTerms) -> _SparseTerms:
@@ -143,13 +150,18 @@ def apply_to_pair(word: Sequence[WordToken],
 
 def apply_to_poly_pair(word: Sequence[WordToken],
                        f: BiPoly, g: BiPoly) -> tuple[BiPoly, BiPoly]:
-    """Act on a pair entry by entry; either algebra, and no pair property is checked."""
+    """Act on a pair entry by entry; either algebra, and no pair property is checked.
+
+    Both entries are substituted into one token's images, which share the
+    powers of the second image.
+    """
     for gen in word:
         if isinstance(gen, PairSwap):
             f, g = g, -f
         else:
-            images = _images(gen, *type(f)._gens())
-            f, g = f.substitute(*images), g.substitute(*images)
+            images = _images(gen, type(f))
+            y_powers = [images[1].one()]
+            f, g = f.substitute(*images, y_powers), g.substitute(*images, y_powers)
     return f, g
 
 

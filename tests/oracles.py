@@ -5,7 +5,10 @@ normal-ordered by literal symbol rewriting, roof chains are rebuilt by
 sweeping explicit support functionals, and the three term-pair loops
 below multiply one Fraction pair at a time, with none of the product
 kernel's denominator clearing or packing.  The commutator is the
-difference of two such products, as its definition reads.
+difference of two such products, as its definition reads.  Substitution
+forms x^i * y^j for every term on its own, and a generator's images are
+built from the generator elements by sums and powers, so a word acts as
+the definition of each token reads.
 """
 
 from fractions import Fraction
@@ -13,7 +16,8 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, Tuple
 
-from weylkit.bipoly import BiPoly
+from weylkit.bipoly import BiPoly, _poly_eval
+from weylkit.transforms import Linear, PairSwap, Rot90, Scale, TriLower, TriUpper
 from weylkit.weyl import WeylElement
 
 Word = Tuple[str, ...]
@@ -101,6 +105,49 @@ def monomial_bracket(f: BiPoly, g: BiPoly) -> BiPoly:
             else:
                 acc.pop(e, None)
     return BiPoly(acc) if acc else out
+
+
+def termwise_substitute(el, x_image, y_image):
+    """Sum of c * x_image^i * y_image^j, each term's product formed on its own."""
+    one = x_image.one()
+    powers_x, powers_y = [one], [one]
+
+    def power(cache, base, n):
+        while len(cache) <= n:
+            cache.append(cache[-1] * base)
+        return cache[n]
+
+    acc = x_image.zero()
+    for (i, j), c in el.items():
+        acc = acc + power(powers_x, x_image, i) * power(powers_y, y_image, j) * c
+    return acc
+
+
+def evaluated_images(gen, cls):
+    """A generator's images of the generators of cls, by sums and powers."""
+    x, y = cls._gens()
+    if isinstance(gen, Linear):
+        return x * gen.a + y * gen.b, x * gen.c + y * gen.d
+    if isinstance(gen, TriUpper):
+        return x + _poly_eval(gen.coeffs, y), y
+    if isinstance(gen, TriLower):
+        return x, y + _poly_eval(gen.coeffs, x)
+    if isinstance(gen, Scale):
+        return x * gen.lam, y * (1 / gen.lam)
+    if isinstance(gen, Rot90):
+        return y, -x
+    raise TypeError(f"not an algebra generator: {gen!r}")
+
+
+def word_action(word, f, g):
+    """A word acting on a pair token by token, through the two oracles above."""
+    for gen in word:
+        if isinstance(gen, PairSwap):
+            f, g = g, -f
+        else:
+            images = evaluated_images(gen, type(f))
+            f, g = termwise_substitute(f, *images), termwise_substitute(g, *images)
+    return f, g
 
 
 def swept_roof_points(z: WeylElement) -> Tuple[Tuple[int, int], ...]:

@@ -1,4 +1,5 @@
 import json
+import time
 from random import Random
 
 import pytest
@@ -124,10 +125,13 @@ def test_dc_check_exit_codes(capsys):
 
 
 # Each must end in a parse or resource error, never in a traceback.  The
-# fourth and fifth hold numbers past the interpreter's 4,300-digit limit;
-# the last is over the degree cap before it reaches its syntax error.
+# fourth and fifth hold numbers past the interpreter's 4,300-digit limit,
+# the sixth is over the degree cap before it reaches its syntax error, and
+# the last two would have coefficients past that digit limit: a product
+# and a sum whose common denominator has 4,952 digits.
 _BAD_EXPRESSIONS = ("1/0 p", "(" * 1000 + "p" + ")" * 1000, " ".join(["p"] * 3000),
-                    "1" * 5000, "p^" + "1" * 5000, "p^60 p^60 )")
+                    "1" * 5000, "p^" + "1" * 5000, "p^60 p^60 )", "(22^60)^60 p",
+                    f"p + 1/{7 ** 2900} + 1/{11 ** 2400}")
 
 
 def test_eval_bad_expression_exits_2(capsys):
@@ -174,6 +178,46 @@ def test_degree_cap_is_a_clean_error(capsys, monkeypatch):
     code, _, err = run(capsys, "eval", "p^9")
     assert code == 2
     assert err.startswith("error:")
+
+
+# p -> p + q^5, then q -> q + p^5, then p -> p + q^5 again: degree 125
+_UP, _LOW = "triu:[0,0,0,0,0,1]", "tril:[0,0,0,0,0,1]"
+_DEGREE_125 = ",".join([_UP, _LOW, _UP])
+
+
+def test_word_over_the_degree_cap_is_a_clean_error(capsys):
+    code, out, err = run(capsys, "aut", "apply", _DEGREE_125, "p")
+    assert (code, out) == (2, "")
+    assert err == "error: substitution would reach exponent 125, over WEYL_MAX_DEGREE=64\n"
+    code, out, _ = run(capsys, "aut", "apply", f"{_UP},{_LOW}", "p")
+    assert code == 0 and out.startswith("p^25 ")
+    started = time.perf_counter()
+    code, _, err = run(capsys, "aut", "apply", f"{_DEGREE_125},{_LOW}", "p + q")
+    assert (code, err.startswith("error:")) == (2, True)
+    assert time.perf_counter() - started < 1
+
+
+def test_pre_word_over_the_degree_cap_is_an_input_error(capsys):
+    code, out, err = run(capsys, "dc-check", "p", "q", "--pre-word", _DEGREE_125)
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {
+        "outcome": "NotAWeylPair",
+        "reason": "input error: substitution would reach exponent 125, over WEYL_MAX_DEGREE=64",
+        "pair": None, "attempts": [], "certificate": None}
+
+
+def test_coefficients_past_the_digit_limit_are_a_resource_error(capsys):
+    code, out, err = run(capsys, "eval", "(22^60)^60")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: intermediate coefficients could pass")
+    code, out, _ = run(capsys, "eval", "22^60")
+    assert (code, out) == (0, str(22 ** 60) + "\n")
+    code, out, err = run(capsys, "eval", f"1/{7 ** 2900} + 1/{11 ** 2400}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a coefficient passes")
+    # the largest number that prints passes the check on the parsed value
+    code, out, _ = run(capsys, "eval", "p + " + "9" * 4300)
+    assert (code, out) == (0, "p + " + "9" * 4300 + "\n")
 
 
 _FUZZ_TOKENS = ("p", "q", "X", "Y", "0", "1", "2", "3", "/", "+", "-", "*", "^", "(", ")", " ")

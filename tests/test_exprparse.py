@@ -1,12 +1,13 @@
+import sys
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from weylkit import bipoly
-from weylkit.bipoly import BiPoly
+from weylkit import bipoly, exprparse
+from weylkit.bipoly import BiPoly, _tops
 from weylkit.errors import ParseError, ResourceLimitError
-from weylkit.exprparse import parse_element
+from weylkit.exprparse import _coeff_bits, _reorder_bits, parse_element
 from weylkit.weyl import WeylElement, weyl_mul
 
 import gen
@@ -191,6 +192,70 @@ def test_cap_is_checked_before_a_product_is_formed(monkeypatch):
             parse_element(text, "weyl")
     assert max(formed) <= 64
     assert parse_element("(q^40 + p) (q^24 + 1)", "weyl").support() >= {(0, 64)}
+
+
+def test_coefficient_budget_is_checked_before_a_product_is_formed(monkeypatch):
+    formed = []
+    product = bipoly._product
+
+    def recording(f, g, rule):
+        terms = product(f, g, rule)
+        formed.extend(c for c in terms.values())
+        return terms
+
+    monkeypatch.setattr(bipoly, "_product", recording)
+    for text, mode in (("(22^60)^60", "weyl"), ("(22^60 X)^60", "poly"),
+                       (" ".join(["(22^60)^10"] * 6), "weyl"),
+                       (f"(p + 1/{3 ** 600})^20 q", "weyl")):
+        with pytest.raises(ResourceLimitError, match="4300-digit integer limit"):
+            parse_element(text, mode)
+    assert all(len(str(abs(c.numerator))) <= 4300 and len(str(c.denominator)) <= 4300
+               for c in formed)
+    assert parse_element(" ".join(["(22^60)^10"] * 5), "weyl") == WeylElement.constant(22 ** 3000)
+
+
+def test_coeff_bits_bounds_products_and_powers():
+    rng = Random(2020)
+    for _ in range(60):
+        f, g = gen.weyl_element(rng, max_exp=4), gen.weyl_element(rng, max_exp=4)
+        (a, b), (c, _) = _tops(f), _tops(g)
+        assert _coeff_bits(f * g) <= _coeff_bits(f) + _coeff_bits(g) + _reorder_bits(b, c)
+        n = rng.randint(1, 4)
+        assert _coeff_bits(f ** n) <= n * _coeff_bits(f) + sum(_reorder_bits(k * b, a) for k in range(1, n))
+        poly = BiPoly(dict(f.items()))
+        assert _coeff_bits(poly ** n) <= n * _coeff_bits(poly)
+    p, q = WeylElement._gens()
+    # normal ordering alone takes the height of (p + q)^64 from 64 bits to 168
+    assert _coeff_bits((p + q) ** 64) == 168
+    assert _coeff_bits((p + q) ** 64) <= 64 + sum(_reorder_bits(k, 1) for k in range(1, 64))
+
+
+def test_coefficient_budget_bounds_what_is_formed(monkeypatch):
+    checked = []
+    check = exprparse._Parser.check_budget
+
+    def recording(parser, bits):
+        checked.append(bits)
+        return check(parser, bits)
+
+    monkeypatch.setattr(exprparse._Parser, "check_budget", recording)
+    for text, mode in (("(p + q)^64", "weyl"), ("(q^8 - 2/3 p^8)^8", "weyl"),
+                       ("(p + q)^30 (q + p)^30", "weyl"), ("(3 q^5 + p)^10 (p^4 - q)^10", "weyl"),
+                       ("(1/2 X + 3/5 Y)^64", "poly")):
+        value = parse_element(text, mode)
+        assert checked[-1] >= _coeff_bits(value), text
+
+
+def test_coefficient_budget_follows_the_interpreter_limit():
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(1000)
+        with pytest.raises(ResourceLimitError, match="1000-digit integer limit"):
+            parse_element("(22^60)^20", "weyl")
+        sys.set_int_max_str_digits(0)
+        assert parse_element("(22^60)^60", "weyl") == WeylElement.constant(22 ** 3600)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_printer_output_parses_back():

@@ -5,6 +5,10 @@ the Poisson bracket and the Weyl commutator.  Every case is run three
 ways: as the library picks the multiply, and with the choice forced to
 the integer schoolbook loop and to Kronecker packing.  Operands come
 from both sides of the dense/sparse rule.
+
+Substitution by Horner's rule, the generators' images and the action of
+words are checked against the term-by-term oracles, in both algebras
+and across them.
 """
 
 from contextlib import contextmanager
@@ -13,9 +17,14 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from weylkit import bipoly
 from weylkit.bipoly import BiPoly
+from weylkit.errors import ResourceLimitError
 from weylkit.poisson import poisson_bracket
+from weylkit.transforms import (Linear, PairSwap, Rot90, Scale, TriLower, TriUpper, _images,
+                                apply_to_pair, apply_to_poly_pair)
 from weylkit.weyl import WeylElement, commutator
 
 import oracles
@@ -206,3 +215,100 @@ def test_saturated_slots():
             assert_all_equal(three_ways(BiPoly.__mul__, f, f), oracles.schoolbook_product(f, f))
             g = BiPoly({(i, j): c * (i + 1) for (i, j) in terms})
             assert_all_equal(three_ways(poisson_bracket, f, g), oracles.monomial_bracket(f, g))
+
+
+# -- substitution and words ----------------------------------------------
+
+ALGEBRAS = (WeylElement, BiPoly)
+sources = st.one_of(dense_terms(3), sparse_terms(6))
+images = st.one_of(dense_terms(2), sparse_terms(3))
+# rows only at i = 0, 2 and 5: Horner steps that add no row
+gapped = st.dictionaries(st.tuples(st.sampled_from((0, 2, 5)), st.integers(0, 3)), rationals,
+                         min_size=1, max_size=6)
+
+
+@PROPERTY
+@given(st.sampled_from(ALGEBRAS), st.sampled_from(ALGEBRAS), st.one_of(sources, gapped),
+       images, images)
+def test_substitute_matches_termwise(source, target, f, x, y):
+    el, x, y = source(f), target(x), target(y)
+    got = el.substitute(x, y)
+    assert type(got) is target
+    assert_all_equal([got], oracles.termwise_substitute(el, x, y))
+
+
+@PROPERTY
+@given(st.sampled_from(ALGEBRAS), st.one_of(sources, gapped))
+def test_substitute_into_images_that_do_not_commute(source, f):
+    p, q = WeylElement._gens()
+    x, y = p + q ** 2 * Fraction(1, 3), q * 2 - p ** 3 + 1
+    assert commutator(x, y)
+    el = source(f)
+    assert_all_equal([el.substitute(x, y)], oracles.termwise_substitute(el, x, y))
+
+
+def test_substitute_zero_constants_and_shared_powers():
+    for source in ALGEBRAS:
+        for target in ALGEBRAS:
+            x, y = target({(1, 1): 2, (0, 2): -1}), target({(2, 0): 1, (0, 0): 3})
+            assert source().substitute(x, y) == target()
+            assert source.constant(Fraction(-2, 7)).substitute(x, y) == target.constant(Fraction(-2, 7))
+            el = source({(0, 0): 5, (0, 2): 1, (3, 0): 2, (1, 4): 7})
+            assert el.substitute(target(), target()) == target.constant(5)
+            assert el.substitute(target(), y) == target.constant(5) + y ** 2
+            assert el.substitute(x, target()) == target.constant(5) + x ** 3 * 2
+            # x - y with x = y: every term cancels and no zero may be left
+            assert_all_equal([source({(1, 0): 1, (0, 1): -1}).substitute(x, x)], target())
+            assert_all_equal([source({(1, 1): 1, (2, 0): -1}).substitute(x, x)], target())
+            powers = [y.one()]
+            other = source({(2, 3): 1, (0, 1): -1})
+            assert el.substitute(x, y, powers) == oracles.termwise_substitute(el, x, y)
+            assert other.substitute(x, y, powers) == oracles.termwise_substitute(other, x, y)
+            assert powers == [y ** k for k in range(5)]
+
+
+def test_substitute_checks_the_degree_cap_first(monkeypatch):
+    monkeypatch.setenv("WEYL_MAX_DEGREE", "12")
+    p, q = WeylElement._gens()
+    x, y = p + q ** 3, q + p ** 2
+    # exponents (i, j) reach i * (1, 3) + j * (2, 1): (2, 2) gives (6, 8), (0, 6) gives (12, 6)
+    assert WeylElement({(2, 2): 1, (0, 6): 1}).substitute(x, y).support() >= {(0, 6), (12, 0)}
+
+    def refuse(*args):
+        raise AssertionError("a product was formed over the cap")
+    monkeypatch.setattr(bipoly, "_product", refuse)
+    for terms, worst in (({(4, 1): 1}, 13), ({(0, 7): 1}, 14), ({(0, 0): 1, (5, 0): 1}, 15)):
+        with pytest.raises(ResourceLimitError, match=f"exponent {worst}, over WEYL_MAX_DEGREE=12"):
+            WeylElement(terms).substitute(x, y)
+        with pytest.raises(ResourceLimitError):
+            BiPoly(terms).substitute(BiPoly(x._terms), BiPoly(y._terms))
+
+
+small = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+nonzero = small.filter(bool)
+coeff_lists = st.lists(small, max_size=3)
+tokens = st.one_of(
+    st.builds(lambda a, b, c: Linear(a, b, c, (1 + b * c) / a), nonzero, small, small),
+    st.builds(TriUpper, coeff_lists), st.builds(TriLower, coeff_lists),
+    st.builds(Scale, nonzero), st.just(Rot90()))
+
+
+@PROPERTY
+@given(tokens)
+def test_images_are_the_evaluated_images(gen):
+    for cls in ALGEBRAS:
+        assert _images(gen, cls) == oracles.evaluated_images(gen, cls)
+
+
+@PROPERTY
+@given(st.lists(st.one_of(tokens, st.just(PairSwap())), max_size=4))
+def test_apply_to_pair_matches_the_word_oracle(word):
+    pair = WeylElement._gens()
+    assert apply_to_pair(word, *pair) == oracles.word_action(word, *pair)
+
+
+@PROPERTY
+@given(st.sampled_from(ALGEBRAS), st.lists(tokens, max_size=2), sparse_terms(3), sparse_terms(3))
+def test_apply_to_poly_pair_matches_the_word_oracle(cls, word, f, g):
+    f, g = cls(f), cls(g)
+    assert apply_to_poly_pair(word, f, g) == oracles.word_action(word, f, g)
