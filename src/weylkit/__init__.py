@@ -8,7 +8,7 @@ commutator-1 pair generate the whole algebra?".
 
 from .bipoly import (BiPoly, Direction, HomogDecomp, as_direction, homog_decomp,
                      is_homogeneous, leading_form, mth_root, power_decomposition,
-                     support, v_deg)
+                     v_deg)
 from .errors import (InvariantViolation, NotAWeylPairError, ParseError, ReplayError,
                      ResourceLimitError, WeylkitError)
 from .poisson import (CommutingPairClass, FuGvCheck, PairKind, bracket_degree_bound,

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import index, itemgetter
 from typing import Optional, Union
@@ -283,7 +285,14 @@ class _SparseTerms:
 
         Before any row or product is formed, the largest exponent of the
         result is bounded by i * _tops(x_image) + j * _tops(y_image) over the
-        terms (i, j); over WEYL_MAX_DEGREE it raises ResourceLimitError.
+        terms (i, j); over WEYL_MAX_DEGREE it raises ResourceLimitError.  So
+        do its coefficient bits, over the budget: with (I, J) = _tops(self),
+        self = F / D, x_image = X / D_x and y_image = Y / D_y, the result
+        times D D_x^I D_y^J is integral, with coefficients summing to at most
+        |F|_1 max |X|_1^i D_x^(I-i) |Y|_1^j D_y^(J-j) over the terms (i, j),
+        times what normal ordering adds in forming x_image^I, y_image^J (each
+        step adding at most what the last does) and their product.  Horner's
+        partial sums substitute parts of self, so they obey the same bound.
         """
         (a1, b1), (a2, b2) = _tops(x_image), _tops(y_image)
         worst = max((max(i * a1 + j * a2, i * b1 + j * b2) for i, j in self._terms), default=0)
@@ -291,6 +300,13 @@ class _SparseTerms:
         if worst > cap:
             raise ResourceLimitError(
                 f"substitution would reach exponent {worst}, over WEYL_MAX_DEGREE={cap}")
+        big_i, big_j = _tops(self)
+        bits = _coeff_bits(self) + big_i * _coeff_bits(x_image) + big_j * _coeff_bits(y_image)
+        if x_image._RULE == _WEYL:
+            i1, j1 = max(big_i - 1, 0), max(big_j - 1, 0)
+            bits += (i1 * _reorder_bits(i1 * b1, a1) + j1 * _reorder_bits(j1 * b2, a2)
+                     + _reorder_bits(big_i * b1, big_j * a2))
+        _check_bits(bits)
         rows: dict[int, list[tuple[int, Fraction]]] = {}
         for (i, j), c in self._terms.items():
             rows.setdefault(i, []).append((j, c))
@@ -319,7 +335,7 @@ class _SparseTerms:
 def weyl_max_degree() -> int:
     """The degree cap: WEYL_MAX_DEGREE from the environment, 64 if unset.
 
-    The expression parser and substitute both read it here, on every use.
+    _checked_product and substitute both read it here, on every use.
     """
     raw = os.environ.get("WEYL_MAX_DEGREE", "64")
     try:
@@ -340,6 +356,56 @@ def _tops(value: _SparseTerms) -> tuple[int, int]:
     """
     exps = value._terms
     return (max(i for i, _ in exps), max(j for _, j in exps)) if exps else (0, 0)
+
+
+# -- the coefficient budget ----------------------------------------------
+# Coefficients of parsed products and of substitutions stay printable under
+# sys.get_int_max_str_digits(); with no digit limit there is no budget.
+
+@cache
+def _digit_limit(digits: int) -> int:
+    """10^digits, below which a number prints under a digits-digit limit."""
+    return 10 ** digits
+
+
+def _coeff_bits(value: _SparseTerms) -> int:
+    """Bits h with max(|F|_1, D) <= 2^h, where value = F / D, D the lcm of its denominators.
+
+    Every numerator and denominator of value is at most 2^h, and a product's
+    bits are at most its factors' bits plus _reorder_bits.
+    """
+    coeffs = value._terms.values()
+    den = lcm(*[c.denominator for c in coeffs])
+    norm = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
+    return (max(norm, den) - 1).bit_length()
+
+
+def _reorder_bits(left_q: int, right_p: int) -> int:
+    """Bits by which normal ordering can grow coefficient sums in a Weyl product.
+
+    p^s1 q^i1 * p^s2 q^i2 has coefficients of absolute sum
+    sum_t t! C(i1, t) C(s2, t), which is at most (1 + s2)^i1 and (1 + i1)^s2.
+    """
+    return (min((1 + right_p) ** left_q, (1 + left_q) ** right_p) - 1).bit_length()
+
+
+def _check_bits(bits: int) -> None:
+    """Raise ResourceLimitError if coefficients of that many bits could pass the digit limit."""
+    digits = sys.get_int_max_str_digits()
+    if digits and bits >= _digit_limit(digits).bit_length():
+        raise ResourceLimitError(f"intermediate coefficients could pass the interpreter's "
+                                 f"{digits}-digit integer limit")
+
+
+def _checked_product(f: _SparseTerms, g: _SparseTerms) -> _SparseTerms:
+    """f * g, once its exponents are known to stay under WEYL_MAX_DEGREE and
+    its coefficients inside the budget; ResourceLimitError otherwise."""
+    (i, j), (k, m) = _tops(f), _tops(g)
+    worst, cap = max(i + k, j + m), weyl_max_degree()
+    if worst > cap:
+        raise ResourceLimitError(f"intermediate exponent {worst} exceeds WEYL_MAX_DEGREE={cap}")
+    _check_bits(_coeff_bits(f) + _coeff_bits(g) + (_reorder_bits(j, k) if f._RULE == _WEYL else 0))
+    return f * g
 
 
 # -- the exact product kernel --------------------------------------------
@@ -612,10 +678,6 @@ DirectionLike = Union[Direction, tuple[int, int]]
 
 def as_direction(d: DirectionLike) -> Direction:
     return d if isinstance(d, Direction) else Direction(*d)
-
-
-def support(f: _SparseTerms) -> frozenset[Exponent]:
-    return f.support()
 
 
 def v_deg(f: BiPoly, d: DirectionLike) -> int | float:

@@ -7,11 +7,10 @@ NotAWeylPair and 4 for NoPartnerPossible; dc-check input that does not
 parse, z, w or --pre-word, or that passes a resource cap, gives the
 NotAWeylPair document with an "input error" reason and exit 3.  Other
 commands exit 0 on success and 2 on bad input.  The resource caps are
-ResourceLimitErrors: an exponent over WEYL_MAX_DEGREE (default 64) in a
-parsed value or in the image of a word, which aut apply and --pre-word
-check before each substitution is formed, and coefficients that could
-pass the interpreter's integer-string digit limit, which the parser
-checks before each product or power and on the value it returns.  Every
+ResourceLimitErrors: an exponent over WEYL_MAX_DEGREE (default 64), or
+coefficients that could pass the interpreter's integer-string digit
+limit, in a parsed value or in the image of a word; both are checked
+before each parsed product and each substitution is formed.  Every
 command exits 5, printing "error: internal error: ..." and no traceback,
 when a self-check fails (InvariantViolation or ReplayError); that always
 means a bug in weylkit, never a property of the input.

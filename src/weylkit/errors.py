@@ -20,10 +20,9 @@ class ParseError(WeylkitError):
 class ResourceLimitError(WeylkitError):
     """Raised when a value would pass a resource cap.
 
-    The caps are the degree cap WEYL_MAX_DEGREE, which the parser and
-    every substitution check, and the parser's bound on coefficient size,
-    which keeps every coefficient printable under the interpreter's
-    integer-string digit limit.
+    The caps, both kept in bipoly and checked by the parser's products and
+    every substitution, are the degree cap WEYL_MAX_DEGREE and a budget on
+    coefficient size under the interpreter's integer-string digit limit.
     """
 
 

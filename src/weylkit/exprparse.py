@@ -12,23 +12,17 @@ grammar is
 with juxtaposition meaning multiplication.  Each production computes its
 value as the input is read, so there is no expression tree and no second
 pass; the first fault in reading order is the one reported.  Exponents
-are capped by the WEYL_MAX_DEGREE environment variable (default 64); so
-is the largest exponent of any intermediate value, checked before each
-product or power is formed (a sum never raises one), which turns runaway
-products into an explicit resource error instead of a memory blowup.
-Coefficient size has a budget too: before each product or power, a
-bound on its numerators and denominators (from the _coeff_bits of the
-factors, plus what normal ordering can add) is checked against the
-interpreter's integer-string digit limit, sys.get_int_max_str_digits(),
-so a value whose coefficients could not be printed is a resource error
-before it is formed, and a parsed value that could not be printed (a sum
-can reach one) is a resource error too; with no digit limit there is no
-budget.  A long sum or product is
-a loop, and recursion happens only through parentheses, which nest at
-most 100 deep (deeper input is a resource error too), so no input
-exhausts the interpreter stack.  A number past the interpreter's
-integer-string digit limit is a parse error as a coefficient and a
-resource error as an exponent.
+are capped by the WEYL_MAX_DEGREE environment variable (default 64).
+Every product, and base^n as n products by base, goes through
+bipoly._checked_product, which holds the resource budget: it raises
+ResourceLimitError before a product could pass the degree cap or have
+coefficients past the interpreter's integer-string digit limit.  A sum
+can also pass that limit, so the parsed value is checked once more.  A
+long sum or product is a loop, and recursion happens only through
+parentheses, which nest at most 100 deep (deeper input is a resource
+error too), so no input exhausts the interpreter stack.  A number past
+the digit limit is a parse error as a coefficient and a resource error
+as an exponent.
 """
 
 from __future__ import annotations
@@ -36,10 +30,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import lcm
 
-from .bipoly import BiPoly, _tops, weyl_max_degree
+from .bipoly import BiPoly, _checked_product, _digit_limit, weyl_max_degree
 from .errors import ParseError, ResourceLimitError
 from .weyl import WeylElement
 
@@ -91,36 +83,6 @@ def _lex(text: str) -> list[_Token]:
     return tokens
 
 
-@cache
-def _digit_limit(digits: int) -> tuple[int, int]:
-    """10^digits, below which a number prints under the interpreter's
-    digit limit, and the largest h with 2^h below it: the budget in bits."""
-    top = 10 ** digits
-    return top, top.bit_length() - 1
-
-
-def _coeff_bits(value) -> int:
-    """Bits h with max(|F|_1, D) <= 2^h, where value = F / D, D the lcm of its denominators.
-
-    Every numerator and denominator of value is at most 2^h.  Since
-    F G / (D_f D_g) is the product cleared, a product's bits are at most
-    the sum of its factors' bits plus _reorder_bits.
-    """
-    coeffs = [c for _, c in value.items()]
-    den = lcm(*[c.denominator for c in coeffs])
-    norm = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
-    return (max(norm, den) - 1).bit_length()
-
-
-def _reorder_bits(left_q: int, right_p: int) -> int:
-    """Bits by which normal ordering can grow coefficient sums in a Weyl product.
-
-    p^s1 q^i1 * p^s2 q^i2 has coefficients of absolute sum
-    sum_t t! C(i1, t) C(s2, t), which is at most (1 + s2)^i1 and (1 + i1)^s2.
-    """
-    return (min((1 + right_p) ** left_q, (1 + left_q) ** right_p) - 1).bit_length()
-
-
 class _Parser:
     """Recursive-descent parser that returns the value of what it reads."""
 
@@ -133,9 +95,6 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.mode = mode
-        self.cap = weyl_max_degree()
-        self.digits = sys.get_int_max_str_digits()
-        self.top, self.budget = _digit_limit(self.digits) if self.digits else (None, None)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -145,32 +104,16 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def check_cap(self, worst: int) -> None:
-        if worst > self.cap:
-            raise ResourceLimitError(
-                f"intermediate exponent {worst} exceeds WEYL_MAX_DEGREE={self.cap}")
-
-    def check_budget(self, bits: int) -> None:
-        if self.budget is not None and bits > self.budget:
-            raise ResourceLimitError(
-                f"intermediate coefficients could pass the interpreter's "
-                f"{self.digits}-digit integer limit")
-
-    def reorder_bits(self, left_q: int, right_p: int) -> int:
-        return _reorder_bits(left_q, right_p) if self.mode == "weyl" else 0
-
     def parse(self):
         value = self.expr()
         tail = self.peek()
         if tail.kind != "end":
             raise ParseError(f"unexpected {tail.text!r}", tail.position)
-        # sums are not budgeted before they are formed, but they at most
-        # add the digits of their terms, so checking the result suffices
-        top = self.top
-        if top is not None and any(abs(c.numerator) >= top or c.denominator >= top
-                                   for _, c in value.items()):
+        digits = sys.get_int_max_str_digits()
+        if digits and any(max(abs(c.numerator), c.denominator) >= _digit_limit(digits)
+                          for _, c in value.items()):
             raise ResourceLimitError(
-                f"a coefficient passes the interpreter's {self.digits}-digit integer limit")
+                f"a coefficient passes the interpreter's {digits}-digit integer limit")
         return value
 
     def expr(self):
@@ -193,11 +136,7 @@ class _Parser:
                 self.take()
             elif nxt.kind not in ("number", "symbol", "("):
                 return value
-            right = self.factor()
-            (i, j), (k, m) = _tops(value), _tops(right)
-            self.check_cap(max(i + k, j + m))
-            self.check_budget(_coeff_bits(value) + _coeff_bits(right) + self.reorder_bits(j, k))
-            value = value * right
+            value = _checked_product(value, self.factor())
 
     def factor(self):
         base = self.atom()
@@ -208,20 +147,18 @@ class _Parser:
                 raise ParseError("exponent must be a natural number",
                                  exp.position if exp.kind != "end" else caret.position)
             self.take()
+            cap = weyl_max_degree()
             try:
                 n = int(exp.text)
             except ValueError:  # past the interpreter's digit limit, so above any cap
-                raise ResourceLimitError(f"exponent exceeds WEYL_MAX_DEGREE={self.cap} "
+                raise ResourceLimitError(f"exponent exceeds WEYL_MAX_DEGREE={cap} "
                                          f"(at position {exp.position})") from None
-            if n > self.cap:
-                raise ResourceLimitError(
-                    f"exponent {n} exceeds WEYL_MAX_DEGREE={self.cap}")
-            a, b = _tops(base)
-            self.check_cap(n * max(a, b))
-            # base^n = base^(n-1) * base, whose left factor has q-exponent (n-1) b
-            self.check_budget(n * _coeff_bits(base)
-                              + sum(self.reorder_bits(k * b, a) for k in range(1, n)))
-            return base ** n
+            if n > cap:
+                raise ResourceLimitError(f"exponent {n} exceeds WEYL_MAX_DEGREE={cap}")
+            value = self.cls.one()
+            for _ in range(n):
+                value = _checked_product(value, base)
+            return value
         return base
 
     def atom(self):

@@ -6,13 +6,14 @@ and acts on an element of either algebra (p, q or X, Y) by substituting
 them (Horner's rule in the first image, see _SparseTerms.substitute);
 pairs are acted on entry by entry, and the token that swaps the two
 entries with a sign exists only at pair level.  Every substitution checks
-the degree cap WEYL_MAX_DEGREE before it forms anything, so a word whose
-image would pass it raises ResourceLimitError at once.  Words are plain
-data so they can be recorded inside certificates and replayed exactly.
+the degree cap and the coefficient budget before it forms anything, so a
+word whose image would pass either raises ResourceLimitError at once.
+Words are plain data, recorded inside certificates and replayed exactly.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -177,10 +178,12 @@ def jacobian_det(word: Sequence[WordToken]) -> Fraction:
 
 
 def _rat(token: str, position: int) -> Fraction:
+    if not re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", token.strip()):  # den is nonzero
+        raise ParseError(f"bad rational {token!r}", position)
     try:
         return Fraction(token.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational {token!r}", position) from None
+    except ValueError:  # digits only: the interpreter's digit limit
+        raise ParseError("number has too many digits", position) from None
 
 
 def _split_top_level(text: str) -> list[tuple[str, int]]:

@@ -145,6 +145,8 @@ def test_dc_check_parse_error_is_not_a_pair(capsys):
     for argv in (("p +", "q"),
                  ("p", "q", "--pre-word", "bogus"),
                  ("p", "q", "--pre-word", "triu:[0,1"),
+                 ("p", "q", "--pre-word", "scale:1.5"),
+                 ("p", "q", "--pre-word", "scale:1e5000"),
                  *((expr, "q") for expr in _BAD_EXPRESSIONS)):
         code, out, err = run(capsys, "dc-check", *argv)
         assert (code, err) == (3, "")
@@ -204,6 +206,18 @@ def test_pre_word_over_the_degree_cap_is_an_input_error(capsys):
         "outcome": "NotAWeylPair",
         "reason": "input error: substitution would reach exponent 125, over WEYL_MAX_DEGREE=64",
         "pair": None, "attempts": [], "certificate": None}
+
+
+def test_word_over_the_coefficient_budget_is_a_clean_error(capsys):
+    # scale:7^350 takes p^64 to a coefficient of 18,931 digits
+    scale = f"scale:{7 ** 350}"
+    budget = "intermediate coefficients could pass the interpreter's 4300-digit integer limit"
+    code, out, err = run(capsys, "aut", "apply", scale, "p^64")
+    assert (code, out, err) == (2, "", f"error: {budget}\n")
+    code, out, err = run(capsys, "dc-check", "p", "q + p^20", "--pre-word", scale)
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {"outcome": "NotAWeylPair", "reason": f"input error: {budget}",
+                               "pair": None, "attempts": [], "certificate": None}
 
 
 def test_coefficients_past_the_digit_limit_are_a_resource_error(capsys):

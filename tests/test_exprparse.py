@@ -4,10 +4,10 @@ from random import Random
 
 import pytest
 
-from weylkit import bipoly, exprparse
-from weylkit.bipoly import BiPoly, _tops
+from weylkit import bipoly
+from weylkit.bipoly import BiPoly, _coeff_bits, _reorder_bits, _tops
 from weylkit.errors import ParseError, ResourceLimitError
-from weylkit.exprparse import _coeff_bits, _reorder_bits, parse_element
+from weylkit.exprparse import parse_element
 from weylkit.weyl import WeylElement, weyl_mul
 
 import gen
@@ -232,13 +232,13 @@ def test_coeff_bits_bounds_products_and_powers():
 
 def test_coefficient_budget_bounds_what_is_formed(monkeypatch):
     checked = []
-    check = exprparse._Parser.check_budget
+    check = bipoly._check_bits
 
-    def recording(parser, bits):
+    def recording(bits):
         checked.append(bits)
-        return check(parser, bits)
+        return check(bits)
 
-    monkeypatch.setattr(exprparse._Parser, "check_budget", recording)
+    monkeypatch.setattr(bipoly, "_check_bits", recording)
     for text, mode in (("(p + q)^64", "weyl"), ("(q^8 - 2/3 p^8)^8", "weyl"),
                        ("(p + q)^30 (q + p)^30", "weyl"), ("(3 q^5 + p)^10 (p^4 - q)^10", "weyl"),
                        ("(1/2 X + 3/5 Y)^64", "poly")):
@@ -246,8 +246,39 @@ def test_coefficient_budget_bounds_what_is_formed(monkeypatch):
         assert checked[-1] >= _coeff_bits(value), text
 
 
+def test_a_parsed_power_is_n_checked_products(monkeypatch):
+    formed = []
+    product = bipoly._product
+
+    def recording(f, g, rule):
+        terms = product(f, g, rule)
+        formed.append(BiPoly._from_canonical(terms))
+        return terms
+
+    monkeypatch.setattr(bipoly, "_product", recording)
+    budget = bipoly._digit_limit(sys.get_int_max_str_digits()).bit_length() - 1
+    for text, mode, n in (("(p + q - 3/7)^40", "weyl", 40), ("(X - Y + 2/3)^32", "poly", 32)):
+        formed.clear()
+        value = parse_element(text, mode)
+        assert len(formed) == n and formed[-1]._terms == value._terms
+        assert all(_coeff_bits(v) <= budget for v in formed)
+    # a power stops before its first product over the cap or the budget:
+    # p^2 is 2 products and p^64 32 more; 22^60 is 60 and 22^3180 53 more
+    for text, n, message in (("(p^2)^40", 2 + 32, "intermediate exponent 66 "),
+                             ("(22^60)^60", 60 + 53, "intermediate coefficients could pass")):
+        formed.clear()
+        with pytest.raises(ResourceLimitError, match=message):
+            parse_element(text, "weyl")
+        assert len(formed) == n
+        assert all(_height(v) <= 64 and _coeff_bits(v) <= budget for v in formed)
+
+
 def test_coefficient_budget_follows_the_interpreter_limit():
     saved = sys.get_int_max_str_digits()
+    # 2^14284 < 10^4300 < 2^14285: the budget is 14284 bits
+    bipoly._check_bits(14284)
+    with pytest.raises(ResourceLimitError, match="4300-digit integer limit"):
+        bipoly._check_bits(14285)
     try:
         sys.set_int_max_str_digits(1000)
         with pytest.raises(ResourceLimitError, match="1000-digit integer limit"):

@@ -14,13 +14,13 @@ and across them.
 from contextlib import contextmanager
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
 
 from weylkit import bipoly
-from weylkit.bipoly import BiPoly
+from weylkit.bipoly import BiPoly, _coeff_bits
 from weylkit.errors import ResourceLimitError
 from weylkit.poisson import poisson_bracket
 from weylkit.transforms import (Linear, PairSwap, Rot90, Scale, TriLower, TriUpper, _images,
@@ -291,6 +291,31 @@ tokens = st.one_of(
     st.builds(lambda a, b, c: Linear(a, b, c, (1 + b * c) / a), nonzero, small, small),
     st.builds(TriUpper, coeff_lists), st.builds(TriLower, coeff_lists),
     st.builds(Scale, nonzero), st.just(Rot90()))
+
+
+@PROPERTY
+@given(st.sampled_from(ALGEBRAS), sparse_terms(3), st.one_of(dense_terms(2), sparse_terms(2)),
+       st.one_of(dense_terms(2), sparse_terms(2)), st.lists(tokens, min_size=1, max_size=2))
+# (p + q)^64 has 168 bits, 104 of them from normal ordering alone
+@example(WeylElement, {(64, 0): 1}, {(1, 0): 1, (0, 1): 1}, {(0, 1): 1}, [Rot90()])
+@example(WeylElement, {(3, 3): 1}, {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): 1}, [Rot90()])
+def test_substitution_bounds_its_coefficient_bits(cls, f, x, y, word):
+    # general images first, then a word; drawn exponents stay under
+    # 3 * 2 * 2 * 2^2 = 48, and the first example reaches 64
+    bounds = []
+    check = bipoly._check_bits
+
+    def recording(bits):
+        bounds.append(bits)
+        check(bits)
+
+    el = cls(f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bipoly, "_check_bits", recording)
+        for x_image, y_image in [(cls(x), cls(y))] + [_images(gen, cls) for gen in word]:
+            el = el.substitute(x_image, y_image)
+            assert bounds[-1] >= _coeff_bits(el)
+    assert len(bounds) == 1 + len(word)
 
 
 @PROPERTY

@@ -140,6 +140,15 @@ def test_word_string_round_trip():
 def test_parse_word_rejects_garbage():
     with pytest.raises(ParseError):
         parse_word("spin:1")
+    # rationals are num or num/den with an optional minus, nothing else
+    for text in ("scale:1.5", "scale:1e3", "scale:+2", "scale:1/0", "triu:[0,1_000]",
+                 "lin:1,0,0.5,1", "scale:1e5000", "scale: 1 / 2"):
+        with pytest.raises(ParseError, match="bad rational"):
+            parse_word(text)
+    with pytest.raises(ParseError, match="number has too many digits .at position 0"):
+        parse_word("scale:" + "1" * 5000)
+    assert parse_word("scale: -3/4 ,lin:1,0,-1/2,1") == (Scale(Fraction(-3, 4)),
+                                                         Linear(1, 0, Fraction(-1, 2), 1))
     with pytest.raises((ParseError, ValueError)):
         parse_word("lin:1,1,1,1")
     with pytest.raises((ParseError, ValueError)):
